@@ -185,13 +185,10 @@ def one_minus(a: Variable) -> Variable:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows; it is exp(-x) on the non-negative side and
+    # exp(x) on the negative one.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Variable) -> Variable:

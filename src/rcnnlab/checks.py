@@ -84,6 +84,31 @@ def _check_lstm_cell(rng) -> float:
     return worst
 
 
+def _scan_case(rng, cls, scan) -> float:
+    batch, steps, in_dim, hidden = 2, 3, 2, 3
+    p = cls.create(rng, in_dim, hidden)
+    x = _uniform(rng, batch, steps, in_dim)
+    tensors = [("x", x)] + [(n, v.value) for n, v in p.named()]
+    worst = 0.0
+    for direction in ("forward", "backward"):
+        for name, base in tensors:
+            def f(v, name=name, direction=direction):
+                xs = v if name == "x" else Variable(x)
+                q = cls(*[v if n == name else Variable(pv.value) for n, pv in p.named()])
+                return sum_all(scan(xs, q, direction))
+
+            worst = max(worst, finite_diff_check(f, base))
+    return worst
+
+
+def _check_gru_scan(rng) -> float:
+    return _scan_case(rng, L.GruParams, L.gru_scan)
+
+
+def _check_lstm_scan(rng) -> float:
+    return _scan_case(rng, L.LstmParams, L.lstm_scan)
+
+
 def _check_birnn_context(rng) -> float:
     batch, steps, embed, hidden = 2, 3, 2, 2
     x = _uniform(rng, batch, steps, embed)
@@ -255,6 +280,9 @@ LAYER_TARGETS = [
     ("sum_over_time", _check_sum_over_time),
     ("dense_softmax", _check_dense_softmax),
     ("softmax_cross_entropy", _check_softmax_cross_entropy),
+    # Appended, not inserted: a target's seeds derive from its index.
+    ("gru_scan", _check_gru_scan),
+    ("lstm_scan", _check_lstm_scan),
 ]
 
 

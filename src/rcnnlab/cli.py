@@ -71,6 +71,19 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _has_config_type(key: str, value) -> bool:
+    """An int passes where a float is declared; a bool is never an int, and
+    null is accepted only where the default itself is null."""
+    expected = CONFIG_KEYS[key]
+    if value is None:
+        return DEFAULTS[key] is None
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
 def _resolve_options(args) -> dict:
     """defaults < JSON config file < explicit flags."""
     options = dict(DEFAULTS)
@@ -82,9 +95,14 @@ def _resolve_options(args) -> dict:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: expected a JSON object of options")
         unknown = set(loaded) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _has_config_type(key, value):
+                raise ConfigError(f"{path}: {key} must be {CONFIG_KEYS[key].__name__}, got {value!r}")
         options.update(loaded)
     flag_map = {
         "seq_len": "seq_len", "epochs": "epochs", "optimizer": "optimizer",
@@ -208,6 +226,11 @@ def cmd_eval(args) -> int:
     if not vocab_path.is_file():
         raise DataError(f"missing vocabulary file: {vocab_path}")
     vocab = Vocabulary.load(vocab_path)
+    if len(vocab) != model.spec.vocab_size:
+        raise DataError(
+            f"vocabulary {vocab_path} has {len(vocab)} entries, "
+            f"but the checkpoint was trained with {model.spec.vocab_size}"
+        )
     dataset, test_set = _load_data(args.data)
     target = test_set if test_set is not None else dataset
     accuracy = evaluate(model, target, vocab, model.spec.seq_len)

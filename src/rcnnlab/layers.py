@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Variable, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid, slice_axis, tanh
+from .autodiff import (
+    Variable, _stable_sigmoid, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid, slice_axis,
+)
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
@@ -168,79 +170,238 @@ def embed(batch: EncodedBatch, params: EmbeddingParams) -> Variable:
 # Recurrent cells
 # ---------------------------------------------------------------------------
 
-def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
-    """One gated-recurrent-unit step.
+# Each cell type has one fused kernel that runs a whole scan and records one
+# tape node (Appleyard, Kočiský & Blunsom, arXiv 1604.01946). The input
+# projection x·[W_*] of every step is a single matmul over the concatenated
+# gate weights; each step adds one recurrent matmul over the concatenated
+# U_* (two for the GRU, whose candidate reads r*h). Backpropagation through
+# time is written by hand: the reverse loop does elementwise work and two
+# small matmuls per step, and every weight, bias and input gradient is then
+# one matmul or sum over all steps. The per-gate parameter tensors stay the
+# stored form; they are concatenated once per forward, and the gradients
+# are split back onto the Variables the forward read.
+#
+# Kernels work time-major in processing order: a backward scan reverses its
+# input before the projection, so it computes exactly what a forward scan of
+# the reversed input does. Cell steps are the T=1 case of the same kernels.
+
+def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """[B, T, k] in time order -> contiguous [T, B, k] in processing order."""
+    return np.ascontiguousarray((a[:, ::-1] if reverse else a).transpose(1, 0, 2))
+
+
+def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """Inverse of ``_time_major``, as a view."""
+    a = a.transpose(1, 0, 2)
+    return a[:, ::-1] if reverse else a
+
+
+def _check_recurrent_shapes(name: str, x: Variable, states: tuple[Variable, ...], w: Variable, hidden: int) -> None:
+    batch, _steps, width = x.shape
+    if width != w.shape[0]:
+        raise ShapeError(f"{name} input width {width} does not match input weights {w.shape}")
+    for s in states:
+        if s.shape != (batch, hidden):
+            raise ShapeError(f"{name} state must be [{batch}, {hidden}], got {s.shape}")
+
+
+def _gru_kernel(x: Variable, h0: Variable, p: GruParams, reverse: bool) -> Variable:
+    """Gated recurrent unit over [B, T, d] inputs from state h0; all states [B, T, h].
 
     r = sigmoid(x·W_r + h·U_r + b_r)
     z = sigmoid(x·W_z + h·U_z + b_z)
     cand = tanh(x·W_h + (r*h)·U_h + b_h)
     h' = z*h + (1-z)*cand        (the update gate keeps the OLD state)
     """
-    r = sigmoid(bias_add(matmul(x_t, p.w_r) + matmul(h_prev, p.u_r), p.b_r))
-    z = sigmoid(bias_add(matmul(x_t, p.w_z) + matmul(h_prev, p.u_z), p.b_z))
-    cand = tanh(bias_add(matmul(x_t, p.w_h) + matmul(mul(r, h_prev), p.u_h), p.b_h))
-    return mul(z, h_prev) + mul(one_minus(z), cand)
+    # Captured now: backward credits the Variables this forward read, even if
+    # one of p's fields is swapped for another Variable before backward runs.
+    params = [v for _name, v in p.named()]
+    w_r, w_z, w_h, u_r, u_z, u_h, b_r, b_z, b_h = params
+    hidden = u_r.shape[0]
+    _check_recurrent_shapes("gru", x, (h0,), w_r, hidden)
+    batch, steps, width = x.shape
+    w = np.concatenate([w_r.value, w_z.value, w_h.value], axis=1)
+    u_rz = np.concatenate([u_r.value, u_z.value], axis=1)
+    u_c = u_h.value
+    b_rz = np.concatenate([b_r.value, b_z.value])
+    b_c = b_h.value
+
+    xs = _time_major(x.value, reverse).reshape(steps * batch, width)
+    xw = (xs @ w).reshape(steps, batch, 3 * hidden)
+    hs = np.empty((steps + 1, batch, hidden))  # hs[t] is the state step t reads
+    hs[0] = h0.value
+    rz = np.empty((steps, batch, 2 * hidden))
+    rh = np.empty((steps, batch, hidden))
+    cand = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        h = hs[t]
+        rz[t] = _stable_sigmoid(xw[t, :, : 2 * hidden] + h @ u_rz + b_rz)
+        z = rz[t, :, hidden:]
+        np.multiply(rz[t, :, :hidden], h, out=rh[t])
+        cand[t] = np.tanh(xw[t, :, 2 * hidden :] + rh[t] @ u_c + b_c)
+        hs[t + 1] = z * h + (1.0 - z) * cand[t]
+    out = Variable(np.ascontiguousarray(_batch_major(hs[1:], reverse)))
+
+    def bw(g: np.ndarray) -> None:
+        gs = _time_major(g, reverse)
+        r, z = rz[:, :, :hidden], rz[:, :, hidden:]
+        # Factors from dL/dh' (or dL/d(r*h) for r) to each gate pre-activation.
+        k_r = hs[:-1] * r * (1.0 - r)
+        k_z = (hs[:-1] - cand) * z * (1.0 - z)
+        k_c = (1.0 - z) * (1.0 - cand * cand)
+        da = np.empty((steps, batch, 3 * hidden))  # pre-activation gradients [r|z|cand]
+        dh = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + gs[t]
+            da_c = np.multiply(dh, k_c[t], out=da[t, :, 2 * hidden :])
+            drh = da_c @ u_c.T
+            np.multiply(drh, k_r[t], out=da[t, :, :hidden])
+            np.multiply(dh, k_z[t], out=da[t, :, hidden : 2 * hidden])
+            dh = dh * z[t] + drh * r[t] + da[t, :, : 2 * hidden] @ u_rz.T
+        flat = da.reshape(steps * batch, 3 * hidden)
+        du_rz = hs[:-1].reshape(-1, hidden).T @ flat[:, : 2 * hidden]
+        grads = (
+            np.split(xs.T @ flat, 3, axis=1)
+            + np.split(du_rz, 2, axis=1)
+            + [rh.reshape(-1, hidden).T @ flat[:, 2 * hidden :]]
+            + np.split(flat.sum(axis=0), 3)
+        )
+        for v, gv in zip(params, grads):
+            v.ensure_grad()[...] += gv
+        x.ensure_grad()[...] += _batch_major((flat @ w.T).reshape(steps, batch, width), reverse)
+        h0.ensure_grad()[...] += dh
+
+    return record("gru_scan", out, bw)
 
 
-def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: LstmParams) -> tuple[Variable, Variable]:
-    """Standard LSTM step: sigmoid input/forget/output gates, tanh candidate."""
-    h_prev, c_prev = state_prev
-    i = sigmoid(bias_add(matmul(x_t, p.w_i) + matmul(h_prev, p.u_i), p.b_i))
-    f = sigmoid(bias_add(matmul(x_t, p.w_f) + matmul(h_prev, p.u_f), p.b_f))
-    o = sigmoid(bias_add(matmul(x_t, p.w_o) + matmul(h_prev, p.u_o), p.b_o))
-    cand = tanh(bias_add(matmul(x_t, p.w_c) + matmul(h_prev, p.u_c), p.b_c))
-    c_t = mul(f, c_prev) + mul(i, cand)
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+def _lstm_kernel(
+    x: Variable, h0: Variable, c0: Variable, p: LstmParams, reverse: bool
+) -> tuple[Variable, Variable]:
+    """Standard LSTM over [B, T, d] inputs from state (h0, c0): sigmoid
+    input/forget/output gates, tanh candidate. Returns all hidden states
+    [B, T, h] and the final cell state [B, h].
 
-
-def recurrent_scan(inputs: Variable, step, init_state, direction: str = "forward") -> Variable:
-    """Unroll a cell over the time axis of [batch, T, d] inputs.
-
-    ``step(x_t, state) -> (h_t, new_state)``. The backward direction scans
-    reversed time and stores outputs back at their original positions, so
-    position t holds the state computed from the suffix t..T.
+    The final cell state is a second tape node. Its backward only makes sure
+    the kernel's node runs, which reads the cell gradient as the carry into
+    the last step, so c receives gradient even when no h was used.
     """
+    # Captured now: backward credits the Variables this forward read, even if
+    # one of p's fields is swapped for another Variable before backward runs.
+    params = [v for _name, v in p.named()]
+    w_i, w_f, w_o, w_c, u_i, u_f, u_o, u_c, b_i, b_f, b_o, b_c = params
+    hidden = u_i.shape[0]
+    _check_recurrent_shapes("lstm", x, (h0, c0), w_i, hidden)
+    batch, steps, width = x.shape
+    w = np.concatenate([w_i.value, w_f.value, w_o.value, w_c.value], axis=1)
+    u = np.concatenate([u_i.value, u_f.value, u_o.value, u_c.value], axis=1)
+    b = np.concatenate([b_i.value, b_f.value, b_o.value, b_c.value])
+
+    xs = _time_major(x.value, reverse).reshape(steps * batch, width)
+    xw = (xs @ w).reshape(steps, batch, 4 * hidden)
+    hs = np.empty((steps + 1, batch, hidden))  # hs[t], cs[t]: the state step t reads
+    cs = np.empty((steps + 1, batch, hidden))
+    hs[0], cs[0] = h0.value, c0.value
+    gates = np.empty((steps, batch, 4 * hidden))  # [i|f|o|cand]
+    tc = np.empty((steps, batch, hidden))  # tanh of the new cell state
+    for t in range(steps):
+        a = xw[t] + hs[t] @ u + b
+        gates[t, :, : 3 * hidden] = _stable_sigmoid(a[:, : 3 * hidden])
+        np.tanh(a[:, 3 * hidden :], out=gates[t, :, 3 * hidden :])
+        i, f, o, c = (gates[t, :, k * hidden : (k + 1) * hidden] for k in range(4))
+        cs[t + 1] = f * cs[t] + i * c
+        np.tanh(cs[t + 1], out=tc[t])
+        np.multiply(o, tc[t], out=hs[t + 1])
+    out = Variable(np.ascontiguousarray(_batch_major(hs[1:], reverse)))
+    c_last = Variable(cs[steps].copy())
+
+    def bw(g: np.ndarray) -> None:
+        gs = _time_major(g, reverse)
+        i, f, o, c = (gates[:, :, k * hidden : (k + 1) * hidden] for k in range(4))
+        # Factors from dL/dh' (for o and c') or dL/dc' (the rest) to each
+        # pre-activation, and to c' itself.
+        k_i = c * i * (1.0 - i)
+        k_f = cs[:-1] * f * (1.0 - f)
+        k_o = tc * o * (1.0 - o)
+        k_c = i * (1.0 - c * c)
+        k_cell = o * (1.0 - tc * tc)
+        da = np.empty((steps, batch, 4 * hidden))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden)) if c_last.grad is None else c_last.grad.copy()
+        for t in range(steps - 1, -1, -1):
+            dh = dh + gs[t]
+            dc = dc + dh * k_cell[t]
+            np.multiply(dc, k_i[t], out=da[t, :, :hidden])
+            np.multiply(dc, k_f[t], out=da[t, :, hidden : 2 * hidden])
+            np.multiply(dh, k_o[t], out=da[t, :, 2 * hidden : 3 * hidden])
+            np.multiply(dc, k_c[t], out=da[t, :, 3 * hidden :])
+            dc = dc * f[t]
+            dh = da[t] @ u.T
+        flat = da.reshape(steps * batch, 4 * hidden)
+        grads = (
+            np.split(xs.T @ flat, 4, axis=1)
+            + np.split(hs[:-1].reshape(-1, hidden).T @ flat, 4, axis=1)
+            + np.split(flat.sum(axis=0), 4)
+        )
+        for v, gv in zip(params, grads):
+            v.ensure_grad()[...] += gv
+        x.ensure_grad()[...] += _batch_major((flat @ w.T).reshape(steps, batch, width), reverse)
+        h0.ensure_grad()[...] += dh
+        c0.ensure_grad()[...] += dc
+
+    def bw_cell(_g: np.ndarray) -> None:
+        out.ensure_grad()
+
+    record("lstm_scan", out, bw)
+    return out, record("lstm_cell_state", c_last, bw_cell)
+
+
+def _scan_reverse(inputs: Variable, direction: str, name: str) -> bool:
+    """Validate a scan's input and direction; True for the backward direction."""
     if inputs.value.ndim != 3:
-        raise ShapeError(f"recurrent_scan expects [batch, T, d], got {inputs.shape}")
-    batch, steps, width = inputs.shape
-    if steps < 1:
-        raise ContractError("recurrent_scan needs at least one time step")
+        raise ShapeError(f"{name} expects [batch, T, d], got {inputs.shape}")
+    if inputs.shape[1] < 1:
+        raise ContractError(f"{name} needs at least one time step")
     if direction not in ("forward", "backward"):
         raise ContractError(f"unknown scan direction: {direction!r}")
-    order = range(steps) if direction == "forward" else range(steps - 1, -1, -1)
-    outputs: list[Variable | None] = [None] * steps
-    state = init_state
-    hidden = None
-    for t in order:
-        x_t = reshape(slice_axis(inputs, 1, t, t + 1), (batch, width))
-        h_t, state = step(x_t, state)
-        hidden = h_t.shape[1]
-        outputs[t] = reshape(h_t, (batch, 1, hidden))
-    return concat(outputs, axis=1)
+    return direction == "backward"
 
 
 def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Variable:
-    batch = inputs.shape[0]
-    hidden = p.b_r.shape[0]
+    """GRU states [batch, T, h] over [batch, T, d] inputs from a zero state.
 
-    def step(x_t, h):
-        h_t = gru_cell_step(x_t, h, p)
-        return h_t, h_t
-
-    return recurrent_scan(inputs, step, Variable(np.zeros((batch, hidden))), direction)
+    The backward direction scans reversed time and stores outputs back at
+    their original positions, so position t holds the state computed from
+    the suffix t..T.
+    """
+    reverse = _scan_reverse(inputs, direction, "gru_scan")
+    h0 = Variable(np.zeros((inputs.shape[0], p.u_r.shape[0])))
+    return _gru_kernel(inputs, h0, p, reverse)
 
 
 def lstm_scan(inputs: Variable, p: LstmParams, direction: str = "forward") -> Variable:
-    batch = inputs.shape[0]
-    hidden = p.b_i.shape[0]
+    """LSTM hidden states [batch, T, h] from a zero state; directions as in ``gru_scan``."""
+    reverse = _scan_reverse(inputs, direction, "lstm_scan")
+    zeros = np.zeros((inputs.shape[0], p.u_i.shape[0]))
+    return _lstm_kernel(inputs, Variable(zeros), Variable(zeros), p, reverse)[0]
 
-    def step(x_t, state):
-        h_t, c_t = lstm_cell_step(x_t, state, p)
-        return h_t, (h_t, c_t)
 
-    init = (Variable(np.zeros((batch, hidden))), Variable(np.zeros((batch, hidden))))
-    return recurrent_scan(inputs, step, init, direction)
+def _as_one_step(x_t: Variable, name: str) -> Variable:
+    if x_t.value.ndim != 2:
+        raise ShapeError(f"{name} expects [batch, d], got {x_t.shape}")
+    return reshape(x_t, (x_t.shape[0], 1, x_t.shape[1]))
+
+
+def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
+    """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1."""
+    h = _gru_kernel(_as_one_step(x_t, "gru_cell_step"), h_prev, p, reverse=False)
+    return reshape(h, (h.shape[0], h.shape[2]))
+
+
+def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: LstmParams) -> tuple[Variable, Variable]:
+    """One LSTM step, returning (h_t, c_t): the scan kernel at T=1."""
+    h_prev, c_prev = state_prev
+    h, c_t = _lstm_kernel(_as_one_step(x_t, "lstm_cell_step"), h_prev, c_prev, p, reverse=False)
+    return reshape(h, (h.shape[0], h.shape[2])), c_t
 
 
 def birnn_context(x: Variable, fwd_out: Variable, bwd_out: Variable) -> Variable:

@@ -1,10 +1,16 @@
 """Independent reference implementations used to verify the engine.
 
-Everything here is written with plain numpy loops and explicit arithmetic,
-deliberately avoiding the package's layers and autodiff machinery.
+The forward oracles are written with plain numpy loops and explicit
+arithmetic, deliberately avoiding the package's layers and autodiff
+machinery. The taped recurrences at the end are the exception: they build
+each cell step from autodiff primitives and unroll it one time step at a
+time, so their gradients come from the primitives' backward rules and
+check the fused scan kernels' hand-written backpropagation through time.
 """
 
 import numpy as np
+
+from rcnnlab.autodiff import Variable, bias_add, concat, matmul, mul, one_minus, reshape, sigmoid, slice_axis, tanh
 
 
 def conv_oracle(y: np.ndarray, filters: np.ndarray, bias: np.ndarray, window: int) -> np.ndarray:
@@ -52,3 +58,55 @@ def tiny_forward_oracle(params: dict, ids: np.ndarray, hidden: int = 1) -> np.nd
         e = np.exp(logits - logits.max())
         out_rows.append(e / e.sum())
     return np.stack(out_rows)
+
+
+def taped_gru_step(x_t, h_prev, p):
+    r = sigmoid(bias_add(matmul(x_t, p.w_r) + matmul(h_prev, p.u_r), p.b_r))
+    z = sigmoid(bias_add(matmul(x_t, p.w_z) + matmul(h_prev, p.u_z), p.b_z))
+    cand = tanh(bias_add(matmul(x_t, p.w_h) + matmul(mul(r, h_prev), p.u_h), p.b_h))
+    return mul(z, h_prev) + mul(one_minus(z), cand)
+
+
+def taped_lstm_step(x_t, state_prev, p):
+    h_prev, c_prev = state_prev
+    i = sigmoid(bias_add(matmul(x_t, p.w_i) + matmul(h_prev, p.u_i), p.b_i))
+    f = sigmoid(bias_add(matmul(x_t, p.w_f) + matmul(h_prev, p.u_f), p.b_f))
+    o = sigmoid(bias_add(matmul(x_t, p.w_o) + matmul(h_prev, p.u_o), p.b_o))
+    cand = tanh(bias_add(matmul(x_t, p.w_c) + matmul(h_prev, p.u_c), p.b_c))
+    c_t = mul(f, c_prev) + mul(i, cand)
+    return mul(o, tanh(c_t)), c_t
+
+
+def taped_scan(inputs, step, init_state, direction):
+    """Unroll ``step(x_t, state) -> (h_t, new_state)`` over [batch, T, d]
+    inputs; the backward direction stores each state at its input's position."""
+    batch, steps, width = inputs.shape
+    order = range(steps) if direction == "forward" else range(steps - 1, -1, -1)
+    outputs = [None] * steps
+    state = init_state
+    for t in order:
+        x_t = reshape(slice_axis(inputs, 1, t, t + 1), (batch, width))
+        h_t, state = step(x_t, state)
+        outputs[t] = reshape(h_t, (batch, 1, h_t.shape[1]))
+    return concat(outputs, axis=1)
+
+
+def _zero_state(inputs, p):
+    """Zeros [batch, h]; a cell's last named tensor is a bias of width h."""
+    return Variable(np.zeros((inputs.shape[0], p.named()[-1][1].shape[0])))
+
+
+def taped_gru_scan(inputs, p, direction):
+    def step(x_t, h):
+        h_t = taped_gru_step(x_t, h, p)
+        return h_t, h_t
+
+    return taped_scan(inputs, step, _zero_state(inputs, p), direction)
+
+
+def taped_lstm_scan(inputs, p, direction):
+    def step(x_t, state):
+        h_t, c_t = taped_lstm_step(x_t, state, p)
+        return h_t, (h_t, c_t)
+
+    return taped_scan(inputs, step, (_zero_state(inputs, p), _zero_state(inputs, p)), direction)

@@ -59,6 +59,7 @@ class TestCriterion1LayerGradients:
             "embed", "gru_cell_step", "lstm_cell_step", "birnn_context",
             "highway_forward", "conv1d_forward_w1", "conv1d_forward_w2",
             "maxpool_over_time", "dense_softmax", "softmax_cross_entropy",
+            "gru_scan", "lstm_scan",
         }
         started = time.perf_counter()
         results = checks.run_layer_checks(base_seed=0, seeds=5)

@@ -1,10 +1,15 @@
 """CLI contract tests: exit codes, file outputs, machine-parseable stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rcnnlab.cli import main
+from rcnnlab.data import Vocabulary
 
 
 @pytest.fixture()
@@ -90,6 +95,37 @@ class TestTrain:
         assert main(["train", "--data", str(toy_tsv), "--model", "cow",
                      "--config", str(cfg)]) == 2
 
+    def test_config_that_is_not_an_object_rejected(self, toy_tsv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main(["train", "--data", str(toy_tsv), "--model", "cow",
+                     "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("bad", [{"epochs": "ten"}, {"epochs": 2.5}, {"epochs": True},
+                                     {"lr": "fast"}, {"optimizer": 3}, {"mlp_instead_of_highway": 1},
+                                     {"seq_len": None}])
+    def test_config_value_of_wrong_type_exits_two_without_traceback(self, toy_tsv, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "rcnnlab", "train", "--data", str(toy_tsv), "--model", "cow",
+             "--config", str(cfg), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert next(iter(bad)) in run.stderr
+
+    def test_config_int_accepted_for_float_and_null_for_defaulted_null(self, toy_tsv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "clip_norm": None, "val_fraction": 0.25}))
+        out = tmp_path / "typed"
+        assert main(["train", "--data", str(toy_tsv), "--model", "cow", "--config", str(cfg),
+                     "--out", str(out), *fast_flags()]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["lr"] == 1
+
 
 class TestEval:
     @pytest.fixture()
@@ -110,6 +146,19 @@ class TestEval:
     def test_missing_checkpoint(self, toy_tsv, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "ghost.rchw"),
                      "--data", str(toy_tsv)]) == 3
+
+    def test_vocabulary_of_another_size_is_data_error(self, trained, toy_tsv, tmp_path, capsys):
+        lines = (trained / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        short = tmp_path / "short_vocab.txt"
+        short.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        code = main(["eval", "--checkpoint", str(trained / "model.rchw"),
+                     "--data", str(toy_tsv), "--vocab", str(short)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "accuracy=" not in captured.out
+        sizes = [len(Vocabulary.load(v)) for v in (short, trained / "vocab.txt")]
+        assert f"has {sizes[0]} entries" in captured.err
+        assert f"trained with {sizes[1]}" in captured.err
 
     def test_seq_len_conflict(self, trained, toy_tsv):
         assert main(["eval", "--checkpoint", str(trained / "model.rchw"),
@@ -158,7 +207,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--scope", "layer"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if "max_rel_error" in l]
-        assert len(lines) == 12
+        assert len(lines) == 14
         assert lines[0].startswith("embed")
         assert all("PASS" in l for l in lines)
 

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conv_oracle
+from oracles import conv_oracle, taped_gru_scan, taped_lstm_scan, taped_lstm_step
 
 from rcnnlab import checks
 from rcnnlab import layers as L
-from rcnnlab.autodiff import Tape, Variable, backward, sum_all
+from rcnnlab.autodiff import Tape, Variable, backward, mul, sum_all
 from rcnnlab.data import EncodedBatch
 from rcnnlab.errors import ContractError, DataError, ShapeError
 
@@ -182,6 +182,90 @@ class TestRecurrentScan:
         bwd = L.lstm_scan(Variable(x), p, "backward")
         fwd_on_reversed = L.lstm_scan(Variable(x[:, ::-1, :].copy()), p, "forward")
         np.testing.assert_array_equal(bwd.value, fwd_on_reversed.value[:, ::-1, :])
+
+
+def random_params(cls, rng, in_dim, hidden):
+    p = cls.create(rng, in_dim, hidden)
+    for _n, v in p.named():
+        v.value[...] = rng.uniform(-1, 1, v.shape)  # nonzero biases too
+    return p
+
+
+def weighted_grads(forward, p, inputs, weights):
+    """Output and gradients of sum(weights * forward(inputs)) with respect to
+    the inputs and every parameter tensor of ``p``."""
+    for _n, v in p.named():
+        v.zero_grad()
+    xs = [Variable(a) for a in inputs]
+    with Tape() as tape:
+        out = forward(*xs)
+        loss = sum_all(mul(out, Variable(weights)))
+    backward(tape, loss)
+    wrt = xs + [v for _n, v in p.named()]
+    return out.value, [np.zeros_like(v.value) if v.grad is None else v.grad.copy() for v in wrt]
+
+
+def assert_rel_close(got, expected, tol=1e-12):
+    gap = np.abs(got - expected).max()
+    assert gap <= tol * np.abs(expected).max(), f"gap {gap:.2e} against scale {np.abs(expected).max():.2e}"
+
+
+class TestFusedScans:
+    """The fused kernels against the per-step graph of autodiff primitives."""
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("cls,scan,reference", [
+        (L.GruParams, L.gru_scan, taped_gru_scan),
+        (L.LstmParams, L.lstm_scan, taped_lstm_scan),
+    ])
+    def test_scan_matches_taped_reference(self, cls, scan, reference, direction):
+        batch, steps, in_dim, hidden = 3, 7, 4, 5
+        rng = np.random.default_rng(40)
+        p = random_params(cls, rng, in_dim, hidden)
+        x = rng.uniform(-1, 1, (batch, steps, in_dim))
+        w = rng.normal(size=(batch, steps, hidden))
+        out, grads = weighted_grads(lambda xs: scan(xs, p, direction), p, [x], w)
+        ref, ref_grads = weighted_grads(lambda xs: reference(xs, p, direction), p, [x], w)
+        assert_rel_close(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            assert_rel_close(g, rg)
+
+    def test_lstm_cell_state_alone_carries_gradient(self):
+        rng = np.random.default_rng(42)
+        p = random_params(L.LstmParams, rng, 2, 3)
+        x, h, c = (rng.uniform(-1, 1, (2, w)) for w in (2, 3, 3))
+        w = rng.normal(size=(2, 3))
+        _c, grads = weighted_grads(lambda *v: L.lstm_cell_step(v[0], (v[1], v[2]), p)[1], p, [x, h, c], w)
+        _r, ref_grads = weighted_grads(lambda *v: taped_lstm_step(v[0], (v[1], v[2]), p)[1], p, [x, h, c], w)
+        for g, rg in zip(grads, ref_grads):
+            assert_rel_close(g, rg)
+        assert np.abs(grads[2]).max() > 0.0
+
+    def test_one_tape_node_per_scan(self):
+        rng = np.random.default_rng(43)
+        p = L.GruParams.create(rng, 2, 3)
+        with Tape() as tape:
+            L.gru_scan(Variable(rng.uniform(-1, 1, (2, 9, 2))), p, "backward")
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("cls,scan", [(L.GruParams, L.gru_scan), (L.LstmParams, L.lstm_scan)])
+    def test_gradient_lands_on_the_forward_variables(self, cls, scan):
+        """Swapping a parameter into its slot after the forward must not
+        redirect the backward's gradient to the newcomer."""
+        rng = np.random.default_rng(44)
+        p = cls.create(rng, 2, 3)
+        x = rng.uniform(-1, 1, (2, 4, 2))
+        name, used = p.named()[0]
+        with Tape() as tape:
+            loss = sum_all(scan(Variable(x), p, "forward"))
+        stranger = Variable(used.value.copy())
+        setattr(p, name, stranger)
+        backward(tape, loss)
+        setattr(p, name, used)
+        assert stranger.grad is None
+        landed = used.grad
+        _out, ref_grads = weighted_grads(lambda xs: scan(xs, p, "forward"), p, [x], np.ones((2, 4, 3)))
+        np.testing.assert_array_equal(landed, ref_grads[1])
 
 
 class TestBirnnContext:
