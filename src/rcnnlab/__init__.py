@@ -21,7 +21,7 @@ from .data import (  # noqa: E402,F401
     load_tsv,
     tokenize,
 )
-from .models import KINDS, Model, ModelSpec, build_model, count_params  # noqa: E402,F401
+from .models import KINDS, Model, ModelSpec, build_model, count_params, resolve_model  # noqa: E402,F401
 from .harness import (  # noqa: E402,F401
     RunReport,
     TrainConfig,

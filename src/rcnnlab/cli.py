@@ -47,7 +47,7 @@ from .harness import (
     train,
     write_rows,
 )
-from .models import ABLATION_VARIANTS, KINDS, ModelSpec
+from .models import ABLATION_VARIANTS, KINDS, ModelSpec, resolve_model
 
 CONFIG_KEYS = {
     "optimizer": str, "lr": float, "epochs": int, "batch_size": int,
@@ -104,17 +104,8 @@ def _resolve_options(args) -> dict:
             if not _has_config_type(key, value):
                 raise ConfigError(f"{path}: {key} must be {CONFIG_KEYS[key].__name__}, got {value!r}")
         options.update(loaded)
-    flag_map = {
-        "seq_len": "seq_len", "epochs": "epochs", "optimizer": "optimizer",
-        "lr": "lr", "batch_size": "batch_size", "val_fraction": "val_fraction",
-        "patience": "patience", "clip_norm": "clip_norm",
-        "embed_dim": "embed_dim", "hidden_dim": "hidden_dim",
-        "num_filters": "num_filters", "highway_layers": "highway_layers",
-        "mlp": "mlp_instead_of_highway", "max_vocab": "max_vocab",
-        "min_freq": "min_freq",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in CONFIG_KEYS:  # every flag's dest is its config key
+        value = getattr(args, key, None)
         if value is not None:
             options[key] = value
     if getattr(args, "seed", None) is not None:
@@ -123,16 +114,18 @@ def _resolve_options(args) -> dict:
     return options
 
 
-def _make_config(options: dict, kind: str, vocab_size: int) -> TrainConfig:
+def _make_config(options: dict, vocab_size: int) -> TrainConfig:
+    """The run's config with an rcnn-hw base spec; ``resolve_model`` turns it
+    into the spec of each model a command trains."""
     spec = ModelSpec(
-        kind=kind,
+        kind="rcnn-hw",
         vocab_size=vocab_size,
         seq_len=options["seq_len"],
         embed_dim=options["embed_dim"],
         hidden_dim=options["hidden_dim"],
         num_filters=options["num_filters"],
-        highway_layers=options["highway_layers"] if kind == "rcnn-hw" else 0,
-        mlp_instead_of_highway=options["mlp_instead_of_highway"] if kind == "rcnn-hw" else False,
+        highway_layers=options["highway_layers"],
+        mlp_instead_of_highway=options["mlp_instead_of_highway"],
         num_classes=options["num_classes"],
     )
     return TrainConfig(
@@ -157,25 +150,19 @@ def _load_data(path_str: str) -> tuple[TextDataset, TextDataset | None]:
     return load_tsv(path), None
 
 
-def _base_model_kind(name: str) -> str:
-    if name in ABLATION_VARIANTS:
-        return "rcnn-hw"
-    if name in KINDS:
-        return name
-    valid = ", ".join(list(KINDS) + list(ABLATION_VARIANTS))
-    raise ConfigError(f"unknown model {name!r}; valid: {valid}")
-
-
-def _expand_models(spec: str) -> list[str]:
+def _expand_models(text: str, base: ModelSpec) -> list[str]:
+    """Comma list of model names; rcnn-hw-ablation expands to the four highway
+    variants. Each name is resolved once here, so an unknown one is rejected
+    before any model trains."""
     names = []
-    for raw in spec.split(","):
+    for raw in text.split(","):
         name = raw.strip()
         if not name:
             continue
         if name == "rcnn-hw-ablation":
             names.extend(ABLATION_VARIANTS)
         else:
-            _base_model_kind(name)
+            resolve_model(name, base)
             names.append(name)
     if not names:
         raise ConfigError("model list is empty")
@@ -188,15 +175,11 @@ def _expand_models(spec: str) -> list[str]:
 
 def cmd_train(args) -> int:
     options = _resolve_options(args)
-    kind = _base_model_kind(args.model)
     dataset, test_set = _load_data(args.data)
     train_set, val_set = split_train_val(dataset, options["val_fraction"])
     vocab = build_vocab(train_set, max_size=options["max_vocab"], min_freq=options["min_freq"])
-    config = _make_config(options, kind, len(vocab))
-    if args.model in ABLATION_VARIANTS:
-        d = config.spec.to_dict()
-        d.update(ABLATION_VARIANTS[args.model])
-        config.spec = ModelSpec.from_dict(d)
+    config = _make_config(options, len(vocab))
+    config.spec = resolve_model(args.model, config.spec)
 
     _log(f"training {args.model}: {len(train_set)} train / {len(val_set)} val examples, "
          f"vocab {len(vocab)}, seq_len {config.spec.seq_len}")
@@ -252,9 +235,9 @@ def _split_for_experiment(args, options) -> tuple[TextDataset, TextDataset, Text
 
 def cmd_compare(args) -> int:
     options = _resolve_options(args)
-    names = _expand_models(args.models)
     train_set, val_set, test_set, vocab = _split_for_experiment(args, options)
-    config = _make_config(options, "rcnn-hw", len(vocab))
+    config = _make_config(options, len(vocab))
+    names = _expand_models(args.models, config.spec)
     _log(f"comparing {names} on {len(train_set)} train / {len(test_set)} test examples")
     rows = run_model_comparison(config, names, train_set, val_set, test_set, vocab)
     out = Path(args.out)
@@ -270,13 +253,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     options = _resolve_options(args)
-    names = _expand_models(args.model)
     try:
         lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--lengths must be comma-separated integers: {args.lengths!r}") from exc
     train_set, val_set, test_set, vocab = _split_for_experiment(args, options)
-    config = _make_config(options, "rcnn-hw", len(vocab))
+    config = _make_config(options, len(vocab))
+    names = _expand_models(args.model, config.spec)
     _log(f"sweeping {names} over lengths {lengths}")
     rows = run_seqlen_sweep(config, names, train_set, val_set, test_set, vocab, lengths)
     out = Path(args.out)
@@ -345,7 +328,7 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-dim", dest="hidden_dim", type=int, help="default 32")
     p.add_argument("--num-filters", dest="num_filters", type=int, help="default 256")
     p.add_argument("--highway-layers", dest="highway_layers", type=int, help="0, 1 or 2 (rcnn-hw)")
-    p.add_argument("--mlp", action="store_const", const=True, default=None,
+    p.add_argument("--mlp", dest="mlp_instead_of_highway", action="store_const", const=True, default=None,
                    help="use a dense+relu block instead of highway layers (rcnn-hw)")
     p.add_argument("--max-vocab", dest="max_vocab", type=int, help="default 20000")
     p.add_argument("--min-freq", dest="min_freq", type=int, help="default 2")

@@ -139,20 +139,18 @@ def encode_dataset(dataset: TextDataset, vocab: Vocabulary, seq_len: int) -> Enc
 
 
 def batches(
-    dataset: TextDataset,
-    vocab: Vocabulary,
-    seq_len: int,
+    encoded: EncodedBatch,
     batch_size: int = 32,
     shuffle_seed: int | None = None,
 ) -> Iterator[EncodedBatch]:
-    """Stream of encoded batches; the final short batch is emitted as-is."""
-    if len(dataset) == 0:
+    """Stream of batches of an encoded dataset, in seeded shuffled order when
+    ``shuffle_seed`` is given; the final short batch is emitted as-is."""
+    if encoded.size == 0:
         raise ContractError("cannot batch an empty dataset")
-    encoded = encode_dataset(dataset, vocab, seq_len)
-    order = np.arange(len(dataset))
+    order = np.arange(encoded.size)
     if shuffle_seed is not None:
         np.random.default_rng(shuffle_seed).shuffle(order)
-    for start in range(0, len(dataset), batch_size):
+    for start in range(0, encoded.size, batch_size):
         pick = order[start : start + batch_size]
         yield EncodedBatch(encoded.ids[pick], encoded.lengths[pick], encoded.labels[pick])
 

@@ -18,16 +18,16 @@ import numpy as np
 
 from . import __version__
 from .autodiff import Tape, backward
-from .data import TextDataset, Vocabulary, batches
+from .data import TextDataset, Vocabulary, batches, encode_dataset
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .models import (
-    ABLATION_VARIANTS,
-    KINDS,
     Model,
     ModelSpec,
     RECURRENT_KINDS,
     REFERENCE_ACCURACY,
     build_model,
+    count_params,
+    resolve_model,
 )
 from .optim import clip_gradients, cross_entropy_loss, make_optimizer
 
@@ -112,7 +112,7 @@ def evaluate(model: Model, dataset: TextDataset, vocab: Vocabulary, seq_len: int
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     correct = 0
-    for batch in batches(dataset, vocab, seq_len, batch_size=EVAL_BATCH, shuffle_seed=None):
+    for batch in batches(encode_dataset(dataset, vocab, seq_len), batch_size=EVAL_BATCH):
         probs = model.forward(batch).value
         predictions = np.argmax(probs, axis=1)
         correct += int(np.sum(predictions == batch.labels))
@@ -131,6 +131,7 @@ def train(
     optimizer = make_optimizer(config.optimizer, model.parameters(), lr=config.lr)
     clip_norm = config.resolved_clip_norm()
     seq_len = config.spec.seq_len
+    encoded = encode_dataset(train_set, vocab, seq_len)
     report = RunReport(model_kind=config.spec.kind, config=config.to_dict())
 
     best_snapshot = {name: p.value.copy() for name, p in model.params.items()}
@@ -140,9 +141,7 @@ def train(
         losses = []
         correct = 0
         seen = 0
-        for batch_index, batch in enumerate(
-            batches(train_set, vocab, seq_len, config.batch_size, config.shuffle_seed + epoch)
-        ):
+        for batch_index, batch in enumerate(batches(encoded, config.batch_size, config.shuffle_seed + epoch)):
             model.zero_grads()
             with Tape() as tape:
                 probs = model.forward(batch)
@@ -185,21 +184,6 @@ def train(
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-def _spec_for_variant(base: ModelSpec, name: str) -> ModelSpec:
-    d = base.to_dict()
-    if name in ABLATION_VARIANTS:
-        d["kind"] = "rcnn-hw"
-        d.update(ABLATION_VARIANTS[name])
-    elif name in KINDS:
-        d["kind"] = name
-        d["highway_layers"] = None if name == "rcnn-hw" else 0
-        d["mlp_instead_of_highway"] = False
-    else:
-        valid = ", ".join(list(KINDS) + list(ABLATION_VARIANTS))
-        raise ConfigError(f"unknown model name {name!r}; valid: {valid}")
-    return ModelSpec.from_dict(d)
-
-
 def run_model_comparison(
     config: TrainConfig,
     model_names: list[str],
@@ -226,7 +210,7 @@ def run_model_comparison(
             "error": "",
         }
         try:
-            spec = _spec_for_variant(config.spec, name)
+            spec = resolve_model(name, config.spec)
             cfg = TrainConfig(**{**config.to_dict(), "spec": spec})
             started = time.perf_counter()
             model, report = train(cfg, train_set, val_set, vocab)
@@ -259,7 +243,7 @@ def run_seqlen_sweep(
     for name in model_names:
         for index, seq_len in enumerate(lengths):
             d = config.to_dict()
-            d["spec"] = _spec_for_variant(config.spec, name).to_dict()
+            d["spec"] = resolve_model(name, config.spec).to_dict()
             d["spec"]["seq_len"] = seq_len
             d["init_seed"] = config.init_seed + 101 * index  # fresh init per length
             cfg = TrainConfig(**{**d, "spec": ModelSpec.from_dict(d["spec"])})
@@ -340,27 +324,31 @@ def load_checkpoint(path) -> Model:
     header_len = struct.unpack("<I", blob[8:12])[0]
     if len(blob) < 12 + header_len:
         raise CheckpointError(f"{path}: truncated header")
+    payload = blob[12 + header_len :]
+    # Every lookup of a header-derived value sits in this block, so a header
+    # that is valid JSON but not a valid checkpoint is a CheckpointError too.
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
         spec = ModelSpec.from_dict(header["spec"])
-        manifest = header["tensors"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+        # Checked before the model is built, so a corrupt size cannot allocate.
+        if count_params(spec) * 8 > len(payload):
+            raise CheckpointError(f"{path}: truncated payload for a {spec.kind} model")
+        manifest = [(m["name"], tuple(m["shape"]), m["offset"]) for m in header["tensors"]]
+        model = build_model(spec, rng_seed=0)
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
 
-    model = build_model(spec, rng_seed=0)
-    if [m["name"] for m in manifest] != list(model.params):
+    if [name for name, _shape, _offset in manifest] != list(model.params):
         raise CheckpointError(f"{path}: tensor manifest does not match the model's parameter set")
-    payload = blob[12 + header_len :]
-    for entry in manifest:
-        p = model.params[entry["name"]]
-        if tuple(entry["shape"]) != p.value.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {entry['name']}: "
-                f"{tuple(entry['shape'])} vs {p.value.shape}"
-            )
+    for name, shape, offset in manifest:
+        p = model.params[name]
+        if shape != p.value.shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}: {shape} vs {p.value.shape}")
+        if not isinstance(offset, int) or offset < 0:
+            raise CheckpointError(f"{path}: bad payload offset {offset!r} for {name}")
         nbytes = p.value.size * 8
-        chunk = payload[entry["offset"] : entry["offset"] + nbytes]
+        chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
+            raise CheckpointError(f"{path}: truncated payload at {name}")
         p.value[...] = np.frombuffer(chunk, dtype="<f8").reshape(p.value.shape)
     return model

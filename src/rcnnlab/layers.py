@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import (
-    Variable, _stable_sigmoid, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid, slice_axis,
+    Variable, _stable_sigmoid, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid,
 )
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
@@ -451,22 +452,17 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     return reshape(y, orig_shape[:-1] + (p.w.shape[1],))
 
 
-def transpose(x: Variable) -> Variable:
-    if x.value.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got {x.shape}")
-    out = Variable(x.value.T.copy())
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += g.T
-
-    return record("transpose", out, bw)
-
-
 def conv1d_forward(y: Variable, p: ConvParams) -> Variable:
     """Valid (no-padding) 1-d convolution with a relu response.
 
     Output position i is relu(filters · flattened y[i : i+window] + bias),
     giving a feature map of length T - window + 1.
+
+    One im2col kernel (Chellapilla, Puri & Simard, 2006) records one tape
+    node: every window becomes a row of h·d columns, and a single matmul
+    against the filters gives all responses. At window 1 the rows are a view
+    of the input. The backward adds each of the h window slots back onto
+    the input as one strided slab.
     """
     if y.value.ndim != 3:
         raise ShapeError(f"conv1d expects [batch, T, d], got {y.shape}")
@@ -476,17 +472,30 @@ def conv1d_forward(y: Variable, p: ConvParams) -> Variable:
         raise ContractError(f"sequence length {steps} shorter than conv window {h}")
     if p.filters.shape[1] != h * width:
         raise ShapeError(f"filters expect flattened window of {p.filters.shape[1]}, input gives {h}*{width}")
-    weights = transpose(p.filters)  # [h*d, F]
-    if h == 1:
-        flat = reshape(y, (batch * steps, width))
-        responses = bias_add(matmul(flat, weights), p.bias)
-        return relu(reshape(responses, (batch, steps, p.bias.shape[0])))
-    positions = []
-    for i in range(steps - h + 1):
-        window = reshape(slice_axis(y, 1, i, i + h), (batch, h * width))
-        responses = bias_add(matmul(window, weights), p.bias)
-        positions.append(reshape(responses, (batch, 1, p.bias.shape[0])))
-    return relu(concat(positions, axis=1))
+    if p.bias.shape != (p.filters.shape[0],):
+        raise ShapeError(f"conv bias must be [{p.filters.shape[0]}], got {p.bias.shape}")
+    # Captured now, as in the scan kernels: backward credits these Variables.
+    filters, bias = p.filters, p.bias
+    length = steps - h + 1
+    # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
+    cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)
+    w = np.ascontiguousarray(filters.value.T)
+    responses = cols @ w
+    responses += bias.value
+    np.maximum(responses, 0.0, out=responses)
+    out = Variable(responses.reshape(batch, length, filters.shape[0]))
+
+    def bw(g: np.ndarray) -> None:
+        # Subgradient of the relu at exactly 0 is 0.
+        da = g.reshape(responses.shape) * (responses > 0.0)
+        filters.ensure_grad()[...] += (cols.T @ da).T
+        bias.ensure_grad()[...] += da.sum(axis=0)
+        dcols = (da @ w.T).reshape(batch, length, h, width)
+        dy = y.ensure_grad()
+        for k in range(h):
+            dy[:, k : k + length] += dcols[:, :, k]
+
+    return record("conv1d_forward", out, bw)
 
 
 def maxpool_over_time(feature_map: Variable) -> Variable:

@@ -101,6 +101,27 @@ class ModelSpec:
         return cls(**d)
 
 
+def resolve_model(name: str, base: ModelSpec) -> ModelSpec:
+    """The spec that trains model ``name``: a kind or an ablation variant,
+    with every other field from ``base``.
+
+    rcnn-hw keeps base's highway/mlp fields when base is itself rcnn-hw (and
+    gets the default single highway layer otherwise); other kinds get none;
+    ablation names set their own.
+    """
+    d = base.to_dict()
+    if name in ABLATION_VARIANTS:
+        d.update(kind="rcnn-hw", **ABLATION_VARIANTS[name])
+    elif name in KINDS:
+        if name != "rcnn-hw" or base.kind != "rcnn-hw":
+            d.update(highway_layers=None, mlp_instead_of_highway=False)  # the kind's default
+        d["kind"] = name
+    else:
+        valid = ", ".join(list(KINDS) + list(ABLATION_VARIANTS))
+        raise ConfigError(f"unknown model {name!r}; valid: {valid}")
+    return ModelSpec.from_dict(d)
+
+
 class Model:
     """A built architecture: spec, named parameters, and the forward pass."""
 

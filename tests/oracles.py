@@ -2,15 +2,17 @@
 
 The forward oracles are written with plain numpy loops and explicit
 arithmetic, deliberately avoiding the package's layers and autodiff
-machinery. The taped recurrences at the end are the exception: they build
-each cell step from autodiff primitives and unroll it one time step at a
-time, so their gradients come from the primitives' backward rules and
-check the fused scan kernels' hand-written backpropagation through time.
+machinery. The taped graphs at the end are the exception: they build each
+cell step, or each convolution position, from autodiff primitives, so their
+gradients come from the primitives' backward rules and check the fused
+kernels' hand-written backward passes.
 """
 
 import numpy as np
 
-from rcnnlab.autodiff import Variable, bias_add, concat, matmul, mul, one_minus, reshape, sigmoid, slice_axis, tanh
+from rcnnlab.autodiff import (
+    Variable, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid, slice_axis, tanh,
+)
 
 
 def conv_oracle(y: np.ndarray, filters: np.ndarray, bias: np.ndarray, window: int) -> np.ndarray:
@@ -110,3 +112,27 @@ def taped_lstm_scan(inputs, p, direction):
         return h_t, (h_t, c_t)
 
     return taped_scan(inputs, step, (_zero_state(inputs, p), _zero_state(inputs, p)), direction)
+
+
+def taped_transpose(x):
+    out = Variable(x.value.T.copy())
+
+    def bw(g):
+        x.ensure_grad()[...] += g.T
+
+    return record("transpose", out, bw)
+
+
+def taped_conv(y, p):
+    """Valid convolution one output position at a time: slice the window,
+    flatten it, multiply by the transposed filters and add the bias; then
+    concatenate the positions and apply the relu."""
+    batch, steps, width = y.shape
+    h = p.window
+    weights = taped_transpose(p.filters)
+    positions = []
+    for i in range(steps - h + 1):
+        window = reshape(slice_axis(y, 1, i, i + h), (batch, h * width))
+        responses = bias_add(matmul(window, weights), p.bias)
+        positions.append(reshape(responses, (batch, 1, p.bias.shape[0])))
+    return relu(concat(positions, axis=1))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ def toy_tsv(tmp_path):
     assert main(["gen", "--task", "keyword", "--n", "120", "--seq-len", "10",
                  "--seed", "3", "--out", str(path)]) == 0
     return path
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rcnnlab", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def fast_flags():
@@ -107,13 +116,8 @@ class TestTrain:
     def test_config_value_of_wrong_type_exits_two_without_traceback(self, toy_tsv, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-m", "rcnnlab", "train", "--data", str(toy_tsv), "--model", "cow",
-             "--config", str(cfg), "--out", str(tmp_path / "run")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = run_cli("train", "--data", str(toy_tsv), "--model", "cow",
+                      "--config", str(cfg), "--out", str(tmp_path / "run"))
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert next(iter(bad)) in run.stderr
@@ -164,6 +168,31 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(trained / "model.rchw"),
                      "--data", str(toy_tsv), "--seq-len", "99"]) == 2
 
+    @staticmethod
+    def rewrite_header(path, edit):
+        blob = path.read_bytes()
+        header_len = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + header_len])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :])
+
+    def test_manifest_entry_without_offset_exits_three(self, trained, toy_tsv):
+        path = trained / "model.rchw"
+        self.rewrite_header(path, lambda h: h["tensors"][0].pop("offset"))
+        run = run_cli("eval", "--checkpoint", str(path), "--data", str(toy_tsv))
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert "offset" in run.stderr
+
+    def test_unknown_spec_kind_exits_three(self, trained, toy_tsv):
+        path = trained / "model.rchw"
+        self.rewrite_header(path, lambda h: h["spec"].update(kind="transformer"))
+        run = run_cli("eval", "--checkpoint", str(path), "--data", str(toy_tsv))
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert "transformer" in run.stderr
+
 
 class TestCompare:
     def test_model_list_rows(self, toy_tsv, tmp_path, capsys):
@@ -182,6 +211,16 @@ class TestCompare:
         assert code == 0
         rows = json.loads((out / "comparison.json").read_text())
         assert [r["model"] for r in rows] == ["rcnn-hw-0", "rcnn-hw-1", "rcnn-hw-2", "rcnn-hw-mlp"]
+
+    @pytest.mark.parametrize("flags,variant", [(["--highway-layers", "2"], "rcnn-hw-2"),
+                                               (["--mlp"], "rcnn-hw-mlp")])
+    def test_highway_flags_reach_rcnn_hw(self, toy_tsv, tmp_path, flags, variant):
+        out = tmp_path / "hw"
+        code = main(["compare", "--data", str(toy_tsv), "--models", f"rcnn-hw,{variant}",
+                     *flags, "--out", str(out), *fast_flags()])
+        assert code == 0
+        rows = json.loads((out / "comparison.json").read_text())
+        assert rows[0]["trainable_params"] == rows[1]["trainable_params"]
 
     def test_empty_model_list(self, toy_tsv, tmp_path):
         assert main(["compare", "--data", str(toy_tsv), "--models", ",",

@@ -248,20 +248,20 @@ class TestBatches:
 
     def test_batch_sizes(self, setup):
         ds, vocab = setup
-        sizes = [b.size for b in D.batches(ds, vocab, 50, batch_size=32, shuffle_seed=0)]
+        sizes = [b.size for b in D.batches(D.encode_dataset(ds, vocab, 50), batch_size=32, shuffle_seed=0)]
         assert sizes == [32, 32, 32, 4]
 
     def test_same_seed_same_composition(self, setup):
         ds, vocab = setup
-        a = [b.ids for b in D.batches(ds, vocab, 50, shuffle_seed=5)]
-        b = [b.ids for b in D.batches(ds, vocab, 50, shuffle_seed=5)]
+        a = [b.ids for b in D.batches(D.encode_dataset(ds, vocab, 50), shuffle_seed=5)]
+        b = [b.ids for b in D.batches(D.encode_dataset(ds, vocab, 50), shuffle_seed=5)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_epoch_covers_dataset_exactly_once(self, setup):
         ds, vocab = setup
         whole = D.encode_dataset(ds, vocab, 50)
-        seen = np.concatenate([b.ids for b in D.batches(ds, vocab, 50, shuffle_seed=9)])
+        seen = np.concatenate([b.ids for b in D.batches(D.encode_dataset(ds, vocab, 50), shuffle_seed=9)])
         assert seen.shape == whole.ids.shape
         order = np.lexsort(seen.T)
         base = np.lexsort(whole.ids.T)
@@ -270,11 +270,11 @@ class TestBatches:
     def test_empty_dataset_rejected(self, setup):
         _ds, vocab = setup
         with pytest.raises(ContractError):
-            list(D.batches(D.TextDataset([]), vocab, 10))
+            list(D.batches(D.encode_dataset(D.TextDataset([]), vocab, 10)))
 
     def test_encoded_batch_invariants(self, setup):
         ds, vocab = setup
-        for b in D.batches(ds, vocab, 50, shuffle_seed=1):
+        for b in D.batches(D.encode_dataset(ds, vocab, 50), shuffle_seed=1):
             assert np.all(b.lengths >= 1) and np.all(b.lengths <= 50)
             mask = np.arange(50)[None, :] >= b.lengths[:, None]
             assert np.all(b.ids[mask] == D.PAD_ID)

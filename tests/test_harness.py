@@ -22,7 +22,7 @@ from rcnnlab.harness import (
     train,
     write_rows,
 )
-from rcnnlab.models import ModelSpec, build_model, count_params
+from rcnnlab.models import ModelSpec, build_model, count_params, resolve_model
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,16 @@ class TestComparison:
         counts = {r["model"]: r["trainable_params"] for r in rows}
         assert counts["rcnn-hw-2"] > counts["rcnn-hw-1"] > counts["rcnn-hw-0"]
 
+    @pytest.mark.parametrize("overrides", [{"highway_layers": 2},
+                                           {"highway_layers": 0, "mlp_instead_of_highway": True}])
+    def test_rcnn_hw_keeps_the_base_highway_fields(self, task, overrides):
+        train_set, val_set, test_set, vocab = task
+        cfg = tiny_config(vocab_size=len(vocab), epochs=1)
+        cfg.spec = ModelSpec(**{**cfg.spec.to_dict(), **overrides})
+        rows = run_model_comparison(cfg, ["rcnn-hw", "rcnn"], train_set, val_set, test_set, vocab)
+        assert rows[0]["trainable_params"] == count_params(cfg.spec)
+        assert rows[1]["trainable_params"] == count_params(resolve_model("rcnn", cfg.spec))
+
     def test_failing_model_recorded_without_stopping_others(self, task):
         train_set, val_set, test_set, vocab = task
         cfg = tiny_config(vocab_size=len(vocab), epochs=1)
@@ -231,9 +241,9 @@ class TestCheckpoint:
         assert loaded.spec == model.spec
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].value, model.params[name].value)
-        from rcnnlab.data import batches
+        from rcnnlab.data import batches, encode_dataset
 
-        batch = next(batches(train_set, vocab, 12, batch_size=16, shuffle_seed=None))
+        batch = next(batches(encode_dataset(train_set, vocab, 12), batch_size=16))
         np.testing.assert_array_equal(model.forward(batch).value, loaded.forward(batch).value)
 
     def test_parameter_count_matches_spec(self, tmp_path):
@@ -282,6 +292,20 @@ class TestCheckpoint:
         save_checkpoint(self.build(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 64])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_spec_larger_than_payload_rejected_before_building(self, tmp_path):
+        import struct
+
+        path = tmp_path / "m.rchw"
+        save_checkpoint(self.build(), path)
+        blob = path.read_bytes()
+        header_len = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header["spec"]["vocab_size"] = 10**12
+        new_header = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conv_oracle, taped_gru_scan, taped_lstm_scan, taped_lstm_step
+from oracles import conv_oracle, taped_conv, taped_gru_scan, taped_lstm_scan, taped_lstm_step
 
 from rcnnlab import checks
 from rcnnlab import layers as L
@@ -351,7 +351,7 @@ class TestConv:
         out = L.conv1d_forward(y, p)
         np.testing.assert_array_equal(out.value[0, :, 0], [3.0, 5.0])
 
-    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
     def test_against_sliding_window_oracle(self, window):
         rng = np.random.default_rng(13 + window)
         p = L.ConvParams.create(rng, window, 3, 4)
@@ -364,6 +364,51 @@ class TestConv:
         p = L.ConvParams.create(np.random.default_rng(0), 4, 2, 3)
         with pytest.raises(ContractError, match="3.*4"):
             L.conv1d_forward(Variable(np.zeros((1, 3, 2))), p)
+
+    def test_bias_must_match_filter_count(self):
+        p = L.ConvParams(Variable(np.ones((3, 2))), Variable(np.zeros(1)), 1)
+        with pytest.raises(ShapeError, match="bias"):
+            L.conv1d_forward(Variable(np.zeros((1, 4, 2))), p)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_matches_taped_reference(self, window):
+        """The im2col kernel against the per-position graph of primitives."""
+        rng = np.random.default_rng(50 + window)
+        p = L.ConvParams.create(rng, window, 3, 4)
+        p.bias.value[...] = rng.uniform(-0.5, 0.5, 4)
+        y = rng.uniform(-2, 2, (2, 7, 3))
+        w = rng.normal(size=(2, 8 - window, 4))
+        out, grads = weighted_grads(lambda ys: L.conv1d_forward(ys, p), p, [y], w)
+        ref, ref_grads = weighted_grads(lambda ys: taped_conv(ys, p), p, [y], w)
+        assert_rel_close(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            assert_rel_close(g, rg)
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(56)
+        p = L.ConvParams.create(rng, 3, 2, 4)
+        with Tape() as tape:
+            L.conv1d_forward(Variable(rng.uniform(-1, 1, (2, 9, 2))), p)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("name", ["filters", "bias"])
+    def test_gradient_lands_on_the_forward_variables(self, name):
+        """Swapping a parameter into its slot after the forward must not
+        redirect the backward's gradient to the newcomer."""
+        rng = np.random.default_rng(57)
+        p = L.ConvParams.create(rng, 2, 3, 4)
+        y = rng.uniform(-1, 1, (2, 6, 3))
+        used = getattr(p, name)
+        with Tape() as tape:
+            loss = sum_all(L.conv1d_forward(Variable(y), p))
+        stranger = Variable(used.value.copy())
+        setattr(p, name, stranger)
+        backward(tape, loss)
+        setattr(p, name, used)
+        assert stranger.grad is None
+        landed = used.grad
+        _out, ref_grads = weighted_grads(lambda ys: L.conv1d_forward(ys, p), p, [y], np.ones((2, 5, 4)))
+        np.testing.assert_array_equal(landed, ref_grads[1 + [n for n, _v in p.named()].index(name)])
 
 
 class TestMaxpool:

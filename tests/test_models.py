@@ -8,7 +8,7 @@ from oracles import tiny_forward_oracle
 from rcnnlab import checks
 from rcnnlab.data import EncodedBatch
 from rcnnlab.errors import ConfigError, ContractError
-from rcnnlab.models import KINDS, ModelSpec, build_model, count_params
+from rcnnlab.models import ABLATION_VARIANTS, KINDS, ModelSpec, build_model, count_params, resolve_model
 
 
 def make_batch(ids, lengths=None, labels=None):
@@ -23,6 +23,34 @@ def small_spec(kind: str, **overrides) -> ModelSpec:
     base = dict(kind=kind, vocab_size=12, seq_len=6, embed_dim=3, hidden_dim=2, num_filters=4)
     base.update(overrides)
     return ModelSpec(**base)
+
+
+class TestResolveModel:
+    def test_rcnn_hw_keeps_an_rcnn_hw_base(self):
+        for overrides in ({"highway_layers": 2}, {"highway_layers": 0, "mlp_instead_of_highway": True}):
+            base = small_spec("rcnn-hw", **overrides)
+            assert resolve_model("rcnn-hw", base) == base
+
+    def test_rcnn_hw_from_another_kind_gets_one_highway_layer(self):
+        spec = resolve_model("rcnn-hw", small_spec("cnn"))
+        assert (spec.kind, spec.highway_layers, spec.mlp_instead_of_highway) == ("rcnn-hw", 1, False)
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "rcnn-hw"])
+    def test_other_kinds_drop_highway_fields(self, kind):
+        spec = resolve_model(kind, small_spec("rcnn-hw", highway_layers=2, embed_dim=5))
+        assert (spec.kind, spec.highway_layers, spec.mlp_instead_of_highway) == (kind, 0, False)
+        assert spec.embed_dim == 5
+
+    @pytest.mark.parametrize("name", list(ABLATION_VARIANTS))
+    def test_ablation_names_set_their_fields(self, name):
+        spec = resolve_model(name, small_spec("cow"))
+        assert spec.kind == "rcnn-hw"
+        for field, value in ABLATION_VARIANTS[name].items():
+            assert getattr(spec, field) == value
+
+    def test_unknown_name_lists_valid_names(self):
+        with pytest.raises(ConfigError, match="rcnn-hw-mlp"):
+            resolve_model("bert", small_spec("cow"))
 
 
 class TestModelSpec:
