@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import checks
@@ -37,6 +38,7 @@ from .errors import (
     ShapeError,
 )
 from .harness import (
+    SWEEP_LENGTHS,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -221,53 +223,44 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _split_for_experiment(args, options) -> tuple[TextDataset, TextDataset, TextDataset, Vocabulary]:
+def _run_grid_command(args, models: str, run, stem: str) -> int:
+    """The body of compare and sweep: ``run`` is the harness driver, and the
+    rows go to ``<out>/<stem>.csv`` and ``.json``. Without a test split,
+    a fixed fifth of the data is held out for testing."""
+    options = _resolve_options(args)
     dataset, test_set = _load_data(args.data)
-    if getattr(args, "test_data", None):
+    if args.test_data:
         test_set = load_tsv(args.test_data)
     if test_set is None:
-        held = split_train_val(dataset, 0.2, seed=29)
-        dataset, test_set = held
+        dataset, test_set = split_train_val(dataset, 0.2, seed=29)
     train_set, val_set = split_train_val(dataset, options["val_fraction"])
     vocab = build_vocab(train_set, max_size=options["max_vocab"], min_freq=options["min_freq"])
-    return train_set, val_set, test_set, vocab
-
-
-def cmd_compare(args) -> int:
-    options = _resolve_options(args)
-    train_set, val_set, test_set, vocab = _split_for_experiment(args, options)
     config = _make_config(options, len(vocab))
-    names = _expand_models(args.models, config.spec)
-    _log(f"comparing {names} on {len(train_set)} train / {len(test_set)} test examples")
-    rows = run_model_comparison(config, names, train_set, val_set, test_set, vocab)
+    names = _expand_models(models, config.spec)
+    _log(f"{stem} of {names} on {len(train_set)} train / {len(test_set)} test examples")
+    rows = run(config, names, train_set, val_set, test_set, vocab)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_rows(rows, out / "comparison.csv", out / "comparison.json")
+    write_rows(rows, out / f"{stem}.csv", out / f"{stem}.json")
     for row in rows:
+        label = f"{row['model']} T={row['seq_len']}" if "seq_len" in row else row["model"]
         acc = "n/a" if row["test_accuracy"] is None else f"{row['test_accuracy']:.4f}"
-        _log(f"  {row['model']:14s} {row['status']:5s} accuracy={acc}")
+        _log(f"  {label:20s} {row['status']:5s} accuracy={acc}")
     print(f"rows={len(rows)}")
-    print(f"csv={out / 'comparison.csv'}")
+    print(f"csv={out / f'{stem}.csv'}")
     return 0
 
 
+def cmd_compare(args) -> int:
+    return _run_grid_command(args, args.models, run_model_comparison, "comparison")
+
+
 def cmd_sweep(args) -> int:
-    options = _resolve_options(args)
     try:
         lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--lengths must be comma-separated integers: {args.lengths!r}") from exc
-    train_set, val_set, test_set, vocab = _split_for_experiment(args, options)
-    config = _make_config(options, len(vocab))
-    names = _expand_models(args.model, config.spec)
-    _log(f"sweeping {names} over lengths {lengths}")
-    rows = run_seqlen_sweep(config, names, train_set, val_set, test_set, vocab, lengths)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_rows(rows, out / "sweep.csv", out / "sweep.json")
-    print(f"rows={len(rows)}")
-    print(f"csv={out / 'sweep.csv'}")
-    return 0
+    return _run_grid_command(args, args.model, partial(run_seqlen_sweep, lengths=lengths), "sweep")
 
 
 def cmd_gradcheck(args) -> int:
@@ -368,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", dest="test_data", help="optional held-out TSV")
     p.add_argument("--model", required=True, help="model name or comma list")
-    p.add_argument("--lengths", default="100,200,300,400,500")
+    p.add_argument("--lengths", default=",".join(map(str, SWEEP_LENGTHS)))
     p.add_argument("--out", default="runs/sweep")
     _add_common_train_flags(p)
     p.set_defaults(fn=cmd_sweep)

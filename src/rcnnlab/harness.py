@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,49 @@ def train(
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
+COMPARISON_COLUMNS = ("model", "status", "test_accuracy", "best_val_accuracy", "epochs_run",
+                      "train_seconds", "trainable_params", "reference_accuracy", "error")
+SWEEP_COLUMNS = ("model", "seq_len", "status", "test_accuracy", "best_val_accuracy", "train_seconds", "error")
+SWEEP_LENGTHS = (100, 200, 300, 400, 500)
+
+
+def _run_grid(
+    config: TrainConfig,
+    model_names: list[str],
+    lengths: list[int],
+    columns: tuple[str, ...],
+    train_set: TextDataset,
+    val_set: TextDataset,
+    test_set: TextDataset,
+    vocab: Vocabulary,
+) -> list[dict]:
+    """Train every (model, length) pair from scratch with the same data order
+    and test it; one row of ``columns`` per pair, None where a value is
+    missing. The i-th length initializes with ``init_seed + 101*i``, so the
+    first keeps the config's seed. A failing pair is recorded in its row
+    without stopping the rest."""
+    if not model_names:
+        raise ConfigError("model list is empty")
+    rows = []
+    for name in model_names:
+        for index, seq_len in enumerate(lengths):
+            row = {"model": name, "seq_len": seq_len, "status": "ok", "error": "",
+                   "reference_accuracy": REFERENCE_ACCURACY.get(name)}
+            try:
+                spec = replace(resolve_model(name, config.spec), seq_len=seq_len)
+                cfg = replace(config, spec=spec, init_seed=config.init_seed + 101 * index)
+                started = time.perf_counter()
+                model, report = train(cfg, train_set, val_set, vocab)
+                row["train_seconds"] = round(time.perf_counter() - started, 3)
+                row.update(test_accuracy=evaluate(model, test_set, vocab, seq_len),
+                           best_val_accuracy=report.best_val_accuracy,
+                           epochs_run=report.epochs_run, trainable_params=model.num_params())
+            except Exception as exc:  # keep the remaining pairs running
+                row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            rows.append({key: row.get(key) for key in columns})
+    return rows
+
+
 def run_model_comparison(
     config: TrainConfig,
     model_names: list[str],
@@ -192,38 +236,10 @@ def run_model_comparison(
     test_set: TextDataset,
     vocab: Vocabulary,
 ) -> list[dict]:
-    """Train each architecture with identical seeds and data order; one row
-    per model. A failing model is recorded in its row without stopping the rest."""
-    if not model_names:
-        raise ConfigError("model list is empty")
-    rows = []
-    for name in model_names:
-        row = {
-            "model": name,
-            "status": "ok",
-            "test_accuracy": None,
-            "best_val_accuracy": None,
-            "epochs_run": None,
-            "train_seconds": None,
-            "trainable_params": None,
-            "reference_accuracy": REFERENCE_ACCURACY.get(name),
-            "error": "",
-        }
-        try:
-            spec = resolve_model(name, config.spec)
-            cfg = TrainConfig(**{**config.to_dict(), "spec": spec})
-            started = time.perf_counter()
-            model, report = train(cfg, train_set, val_set, vocab)
-            row["train_seconds"] = round(time.perf_counter() - started, 3)
-            row["test_accuracy"] = evaluate(model, test_set, vocab, spec.seq_len)
-            row["best_val_accuracy"] = report.best_val_accuracy
-            row["epochs_run"] = report.epochs_run
-            row["trainable_params"] = model.num_params()
-        except Exception as exc:  # keep remaining models running
-            row["status"] = "error"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
+    """Train each architecture with identical seeds and data order at the
+    config's sequence length; one row per model."""
+    return _run_grid(config, model_names, [config.spec.seq_len], COMPARISON_COLUMNS,
+                     train_set, val_set, test_set, vocab)
 
 
 def run_seqlen_sweep(
@@ -233,40 +249,14 @@ def run_seqlen_sweep(
     val_set: TextDataset,
     test_set: TextDataset,
     vocab: Vocabulary,
-    lengths: list[int] = (100, 200, 300, 400, 500),
+    lengths: list[int] = SWEEP_LENGTHS,
 ) -> list[dict]:
-    """Retrain from scratch at every sequence length and record accuracy."""
+    """Retrain each model from scratch at every sequence length and record
+    accuracy; one row per (model, length)."""
     lengths = [int(v) for v in lengths]
     if not lengths or any(v < 1 for v in lengths) or sorted(lengths) != lengths:
         raise ConfigError(f"lengths must be ascending positive integers, got {lengths}")
-    rows = []
-    for name in model_names:
-        for index, seq_len in enumerate(lengths):
-            d = config.to_dict()
-            d["spec"] = resolve_model(name, config.spec).to_dict()
-            d["spec"]["seq_len"] = seq_len
-            d["init_seed"] = config.init_seed + 101 * index  # fresh init per length
-            cfg = TrainConfig(**{**d, "spec": ModelSpec.from_dict(d["spec"])})
-            row = {
-                "model": name,
-                "seq_len": seq_len,
-                "status": "ok",
-                "test_accuracy": None,
-                "best_val_accuracy": None,
-                "train_seconds": None,
-                "error": "",
-            }
-            try:
-                started = time.perf_counter()
-                model, report = train(cfg, train_set, val_set, vocab)
-                row["train_seconds"] = round(time.perf_counter() - started, 3)
-                row["test_accuracy"] = evaluate(model, test_set, vocab, seq_len)
-                row["best_val_accuracy"] = report.best_val_accuracy
-            except Exception as exc:
-                row["status"] = "error"
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-    return rows
+    return _run_grid(config, model_names, lengths, SWEEP_COLUMNS, train_set, val_set, test_set, vocab)
 
 
 def write_rows(rows: list[dict], csv_path, json_path=None) -> None:
@@ -302,13 +292,24 @@ def save_checkpoint(model: Model, path) -> None:
         chunks.append(raw)
         offset += len(raw)
     header = json.dumps({"spec": model.spec.to_dict(), "tensors": manifest}).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
+    # Written beside the target and renamed over it, so a failed or
+    # interrupted save leaves any previous checkpoint at ``path`` intact.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Model:

@@ -418,10 +418,10 @@ def birnn_context(x: Variable, fwd_out: Variable, bwd_out: Variable) -> Variable
 # Highway and convolution
 # ---------------------------------------------------------------------------
 
-def highway_forward(x_tilde: Variable, p: HighwayParams, g=relu) -> Variable:
+def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     """Gated skip connection applied independently at every position.
 
-    gate = sigmoid(x·W_t + b_t);  y = gate*g(x·W_h + b_h) + (1-gate)*x.
+    gate = sigmoid(x·W_t + b_t);  y = gate*relu(x·W_h + b_h) + (1-gate)*x.
     The gate and transform read the same full input, which the square
     parameter shapes require.
     """
@@ -429,13 +429,11 @@ def highway_forward(x_tilde: Variable, p: HighwayParams, g=relu) -> Variable:
     for name, w in (("transform", p.w_h), ("gate", p.w_t)):
         if w.shape != (d, d):
             raise ShapeError(f"highway {name} weights must be [{d},{d}], got {w.shape}")
-    orig_shape = x_tilde.shape
-    is_flat = x_tilde.value.ndim == 2
-    flat = x_tilde if is_flat else reshape(x_tilde, (x_tilde.value.size // d, d))
+    flat = reshape(x_tilde, (x_tilde.value.size // d, d))
     gate = sigmoid(bias_add(matmul(flat, p.w_t), p.b_t))
-    transformed = g(bias_add(matmul(flat, p.w_h), p.b_h))
+    transformed = relu(bias_add(matmul(flat, p.w_h), p.b_h))
     y = mul(gate, transformed) + mul(one_minus(gate), flat)
-    return y if is_flat else reshape(y, orig_shape)
+    return reshape(y, x_tilde.shape)
 
 
 def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
@@ -443,13 +441,8 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     d = x.shape[-1]
     if p.w.shape[0] != d:
         raise ShapeError(f"dense block expects input width {p.w.shape[0]}, got {d}")
-    orig_shape = x.shape
-    is_flat = x.value.ndim == 2
-    flat = x if is_flat else reshape(x, (x.value.size // d, d))
-    y = relu(bias_add(matmul(flat, p.w), p.b))
-    if is_flat:
-        return y
-    return reshape(y, orig_shape[:-1] + (p.w.shape[1],))
+    y = relu(bias_add(matmul(reshape(x, (x.value.size // d, d)), p.w), p.b))
+    return reshape(y, x.shape[:-1] + (p.w.shape[1],))
 
 
 def conv1d_forward(y: Variable, p: ConvParams) -> Variable:

@@ -135,10 +135,10 @@ class Adadelta(_Optimizer):
 
 
 OPTIMIZERS = {"rmsprop": RmsProp, "adam": Adam, "adadelta": Adadelta}
-DEFAULT_LR = {"rmsprop": 1e-3, "adam": 1e-3, "adadelta": 1.0}
 
 
 def make_optimizer(name: str, params: list[Variable], lr: float | None = None) -> _Optimizer:
+    """The named optimizer; ``lr=None`` keeps its constructor's default rate."""
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
-    return OPTIMIZERS[name](params, lr=DEFAULT_LR[name] if lr is None else lr)
+    return OPTIMIZERS[name](params) if lr is None else OPTIMIZERS[name](params, lr=lr)

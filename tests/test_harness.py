@@ -3,6 +3,7 @@ semantics, experiment drivers, and checkpoint round-trips."""
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ class TestSweep:
             run_seqlen_sweep(tiny_config(vocab_size=len(vocab)), ["cow"],
                              train_set, val_set, test_set, vocab, lengths=[200, 100])
 
+    def test_unknown_model_recorded_without_stopping_others(self, task):
+        train_set, val_set, test_set, vocab = task
+        cfg = tiny_config(vocab_size=len(vocab), epochs=1)
+        rows = run_seqlen_sweep(cfg, ["mystery", "cow"], train_set, val_set, test_set, vocab,
+                                lengths=[4, 8])
+        assert [(r["model"], r["seq_len"], r["status"]) for r in rows] == [
+            ("mystery", 4, "error"), ("mystery", 8, "error"), ("cow", 4, "ok"), ("cow", 8, "ok")]
+        assert "mystery" in rows[0]["error"]
+
+    def test_empty_model_list_rejected(self, task):
+        train_set, val_set, test_set, vocab = task
+        with pytest.raises(ConfigError):
+            run_seqlen_sweep(tiny_config(vocab_size=len(vocab)), [],
+                             train_set, val_set, test_set, vocab, lengths=[4])
+
+    def test_one_length_sweep_matches_comparison(self, task):
+        train_set, val_set, test_set, vocab = task
+        cfg = tiny_config(vocab_size=len(vocab), epochs=2)
+        compared = run_model_comparison(cfg, ["rcnn-hw"], train_set, val_set, test_set, vocab)
+        swept = run_seqlen_sweep(cfg, ["rcnn-hw"], train_set, val_set, test_set, vocab,
+                                 lengths=[cfg.spec.seq_len])
+        for key in ("test_accuracy", "best_val_accuracy"):
+            assert compared[0][key] == swept[0][key]
+
 
 class TestCheckpoint:
     def build(self, vocab_size=44):
@@ -308,6 +333,46 @@ class TestCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.rchw"
+        good = self.build()
+        save_checkpoint(good, path)
+        saved = path.read_bytes()
+        real_open = Path.open
+
+        class FailsPartWay:
+            """A file whose first write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        def open_failing(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return FailsPartWay(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(Path, "open", open_failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(good.spec, rng_seed=78), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = load_checkpoint(path)
+        for name in good.params:
+            np.testing.assert_array_equal(loaded.params[name].value, good.params[name].value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
