@@ -302,13 +302,13 @@ def max_over_axis(x: Variable, axis: int) -> tuple[Variable, np.ndarray]:
     if x.shape[axis] < 1:
         raise ContractError(f"max over empty axis {axis} of shape {x.shape}")
     idx = np.argmax(x.value, axis=axis)
-    values = np.take_along_axis(x.value, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    at = np.expand_dims(idx, axis)
+    values = np.take_along_axis(x.value, at, axis=axis).squeeze(axis)
     out = Variable(values)
 
     def bw(g: np.ndarray) -> None:
-        full = np.zeros_like(x.value)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        x.ensure_grad()[...] += full
+        grad = x.ensure_grad()
+        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=axis) + np.expand_dims(g, axis), axis=axis)
 
     return record("max_over_axis", out, bw), idx
 

@@ -1,5 +1,7 @@
 """Finite-difference verification suites over layers and a tiny end-to-end model.
 
+A layer target draws its named tensors and gives a loss over them;
+``_worst`` differences each tensor in turn and keeps the largest error.
 Random inputs are redrawn when they land within finite-difference reach of
 a relu kink or a max-pool tie, so the checks are robust for any seed, not
 just the shipped defaults.
@@ -7,12 +9,13 @@ just the shipped defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import layers as L
-from .autodiff import Variable, finite_diff_check, record, sum_all
+from .autodiff import Variable, finite_diff_check, mul, record, sigmoid, sum_all
 from .data import EncodedBatch
 from .errors import GradCheckError
 from .models import ModelSpec, build_model
@@ -35,94 +38,78 @@ def _uniform(rng, *shape):
     return rng.uniform(-2.0, 2.0, shape)
 
 
+def _values(p) -> dict[str, np.ndarray]:
+    """A parameter container's tensors by name, in ``p.named()`` order."""
+    return {n: v.value for n, v in p.named()}
+
+
+def _rebuild(p, v: dict[str, Variable]):
+    """``p`` with each named tensor replaced by its Variable in ``v``."""
+    return replace(p, **{n: v[n] for n, _ in p.named()})
+
+
+def _worst(tensors: dict[str, np.ndarray], loss) -> float:
+    """Worst finite-difference error of ``loss`` over every named tensor.
+
+    ``loss`` maps a {name: Variable} dict to a scalar Variable. Each tensor
+    is differenced in turn while the others are held fixed as fresh Variables.
+    """
+    worst = 0.0
+    for name, base in tensors.items():
+        def f(v, name=name):
+            return loss({n: v if n == name else Variable(t) for n, t in tensors.items()})
+
+        worst = max(worst, finite_diff_check(f, base))
+    return worst
+
+
 def _check_embed(rng) -> float:
-    table = _uniform(rng, 5, 3)
     ids = np.array([[1, 4, 1], [2, 0, 3]])  # repeated id exercises scatter-add
-
-    def f(v):
-        return sum_all(L.sigmoid(L.embedding_lookup(v, ids)))
-
-    return finite_diff_check(f, table)
+    return _worst({"table": _uniform(rng, 5, 3)}, lambda v: sum_all(sigmoid(L.embedding_lookup(v["table"], ids))))
 
 
 def _check_gru_cell(rng) -> float:
     batch, in_dim, hidden = 2, 2, 3
     p = L.GruParams.create(rng, in_dim, hidden)
-    x = _uniform(rng, batch, in_dim)
-    h = _uniform(rng, batch, hidden)
-    tensors = [("x", x), ("h", h)] + [(n, v.value) for n, v in p.named()]
-    worst = 0.0
-    for name, base in tensors:
-        def f(v, name=name):
-            xs = Variable(x) if name != "x" else v
-            hs = Variable(h) if name != "h" else v
-            q = L.GruParams(*[v if n == name else Variable(pv.value) for n, pv in p.named()])
-            return sum_all(L.gru_cell_step(xs, hs, q))
-
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+    tensors = {"x": _uniform(rng, batch, in_dim), "h": _uniform(rng, batch, hidden), **_values(p)}
+    return _worst(tensors, lambda v: sum_all(L.gru_cell_step(v["x"], v["h"], _rebuild(p, v))))
 
 
 def _check_lstm_cell(rng) -> float:
     batch, in_dim, hidden = 2, 2, 3
     p = L.LstmParams.create(rng, in_dim, hidden)
-    x = _uniform(rng, batch, in_dim)
-    h = _uniform(rng, batch, hidden)
-    c = _uniform(rng, batch, hidden)
-    tensors = [("x", x), ("h", h), ("c", c)] + [(n, v.value) for n, v in p.named()]
-    worst = 0.0
-    for name, base in tensors:
-        def f(v, name=name):
-            xs = v if name == "x" else Variable(x)
-            hs = v if name == "h" else Variable(h)
-            cs = v if name == "c" else Variable(c)
-            q = L.LstmParams(*[v if n == name else Variable(pv.value) for n, pv in p.named()])
-            h_t, c_t = L.lstm_cell_step(xs, (hs, cs), q)
-            return sum_all(h_t) + sum_all(c_t)
+    tensors = {
+        "x": _uniform(rng, batch, in_dim),
+        "h": _uniform(rng, batch, hidden),
+        "c": _uniform(rng, batch, hidden),
+        **_values(p),
+    }
 
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+    def loss(v):
+        h_t, c_t = L.lstm_cell_step(v["x"], (v["h"], v["c"]), _rebuild(p, v))
+        return sum_all(h_t) + sum_all(c_t)
+
+    return _worst(tensors, loss)
 
 
 def _scan_case(rng, cls, scan) -> float:
     batch, steps, in_dim, hidden = 2, 3, 2, 3
     p = cls.create(rng, in_dim, hidden)
-    x = _uniform(rng, batch, steps, in_dim)
-    tensors = [("x", x)] + [(n, v.value) for n, v in p.named()]
-    worst = 0.0
-    for direction in ("forward", "backward"):
-        for name, base in tensors:
-            def f(v, name=name, direction=direction):
-                xs = v if name == "x" else Variable(x)
-                q = cls(*[v if n == name else Variable(pv.value) for n, pv in p.named()])
-                return sum_all(scan(xs, q, direction))
-
-            worst = max(worst, finite_diff_check(f, base))
-    return worst
-
-
-def _check_gru_scan(rng) -> float:
-    return _scan_case(rng, L.GruParams, L.gru_scan)
-
-
-def _check_lstm_scan(rng) -> float:
-    return _scan_case(rng, L.LstmParams, L.lstm_scan)
+    tensors = {"x": _uniform(rng, batch, steps, in_dim), **_values(p)}
+    return max(
+        _worst(tensors, lambda v, d=direction: sum_all(scan(v["x"], _rebuild(p, v), d)))
+        for direction in ("forward", "backward")
+    )
 
 
 def _check_birnn_context(rng) -> float:
     batch, steps, embed, hidden = 2, 3, 2, 2
-    x = _uniform(rng, batch, steps, embed)
-    fwd = _uniform(rng, batch, steps, hidden)
-    bwd = _uniform(rng, batch, steps, hidden)
-    worst = 0.0
-    for name, base in (("x", x), ("fwd", fwd), ("bwd", bwd)):
-        def f(v, name=name):
-            parts = {"x": Variable(x), "fwd": Variable(fwd), "bwd": Variable(bwd)}
-            parts[name] = v
-            return sum_all(L.sigmoid(L.birnn_context(parts["x"], parts["fwd"], parts["bwd"])))
-
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+    tensors = {
+        "x": _uniform(rng, batch, steps, embed),
+        "fwd": _uniform(rng, batch, steps, hidden),
+        "bwd": _uniform(rng, batch, steps, hidden),
+    }
+    return _worst(tensors, lambda v: sum_all(sigmoid(L.birnn_context(v["x"], v["fwd"], v["bwd"]))))
 
 
 def _check_highway(rng) -> float:
@@ -133,16 +120,7 @@ def _check_highway(rng) -> float:
         preact = x.reshape(-1, d) @ p.w_h.value + p.b_h.value
         if np.abs(preact).min() >= _KINK_MARGIN:
             break
-    tensors = [("x", x)] + [(n, v.value) for n, v in p.named()]
-    worst = 0.0
-    for name, base in tensors:
-        def f(v, name=name):
-            xs = v if name == "x" else Variable(x)
-            q = L.HighwayParams(*[v if n == name else Variable(pv.value) for n, pv in p.named()])
-            return sum_all(L.highway_forward(xs, q))
-
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+    return _worst({"x": x, **_values(p)}, lambda v: sum_all(L.highway_forward(v["x"], _rebuild(p, v))))
 
 
 def _conv_case(rng, window: int) -> float:
@@ -156,28 +134,7 @@ def _conv_case(rng, window: int) -> float:
             margins.append(np.abs(win @ p.filters.value.T + p.bias.value).min())
         if min(margins) >= _KINK_MARGIN:
             break
-    tensors = [("y", y), ("filters", p.filters.value), ("bias", p.bias.value)]
-    worst = 0.0
-    for name, base in tensors:
-        def f(v, name=name):
-            ys = v if name == "y" else Variable(y)
-            q = L.ConvParams(
-                v if name == "filters" else Variable(p.filters.value),
-                v if name == "bias" else Variable(p.bias.value),
-                window,
-            )
-            return sum_all(L.conv1d_forward(ys, q))
-
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
-
-
-def _check_conv_w1(rng) -> float:
-    return _conv_case(rng, 1)
-
-
-def _check_conv_w2(rng) -> float:
-    return _conv_case(rng, 2)
+    return _worst({"y": y, **_values(p)}, lambda v: sum_all(L.conv1d_forward(v["y"], _rebuild(p, v))))
 
 
 def _check_maxpool(rng) -> float:
@@ -187,84 +144,52 @@ def _check_maxpool(rng) -> float:
         top2 = np.sort(x, axis=1)[:, -2:, :]
         if (top2[:, 1, :] - top2[:, 0, :]).min() >= _KINK_MARGIN:
             break
-
-    def f(v):
-        return sum_all(L.maxpool_over_time(v))
-
-    return finite_diff_check(f, x)
+    return _worst({"x": x}, lambda v: sum_all(L.maxpool_over_time(v["x"])))
 
 
 def _check_mean_over_time(rng) -> float:
-    x = _uniform(rng, 2, 4, 3)
     lengths = np.array([4, 2])
-
-    def f(v):
-        return sum_all(L.sigmoid(L.mean_over_time(v, lengths)))
-
-    return finite_diff_check(f, x)
+    return _worst({"x": _uniform(rng, 2, 4, 3)}, lambda v: sum_all(sigmoid(L.mean_over_time(v["x"], lengths))))
 
 
 def _check_sum_over_time(rng) -> float:
-    x = _uniform(rng, 2, 4, 3)
     lengths = np.array([3, 1])
+    return _worst({"x": _uniform(rng, 2, 4, 3)}, lambda v: sum_all(sigmoid(L.sum_over_time(v["x"], lengths))))
 
-    def f(v):
-        return sum_all(L.sigmoid(L.sum_over_time(v, lengths)))
 
-    return finite_diff_check(f, x)
+def _head_tensors(rng) -> dict[str, np.ndarray]:
+    """Input, weights and bias of the softmax head, drawn as w, b, x."""
+    batch, d, classes = 3, 4, 3
+    w = L.glorot_uniform(rng, d, classes)
+    b = rng.uniform(-0.5, 0.5, classes)
+    return {"x": _uniform(rng, batch, d), "w": w, "b": b}
 
 
 def _check_dense_softmax(rng) -> float:
-    batch, d, classes = 3, 4, 3
-    w = L.glorot_uniform(rng, d, classes)
-    b = rng.uniform(-0.5, 0.5, classes)
-    x = _uniform(rng, batch, d)
-    worst = 0.0
-    for name, base in (("x", x), ("w", w), ("b", b)):
-        def f(v, name=name):
-            xs = v if name == "x" else Variable(x)
-            ws = v if name == "w" else Variable(w)
-            bs = v if name == "b" else Variable(b)
-            return sum_all(L.mul(L.dense_softmax(xs, ws, bs), L.dense_softmax(xs, ws, bs)))
+    def loss(v):
+        return sum_all(mul(L.dense_softmax(v["x"], v["w"], v["b"]), L.dense_softmax(v["x"], v["w"], v["b"])))
 
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+    return _worst(_head_tensors(rng), loss)
 
 
 def _check_softmax_cross_entropy(rng) -> float:
-    batch, d, classes = 3, 4, 3
-    w = L.glorot_uniform(rng, d, classes)
-    b = rng.uniform(-0.5, 0.5, classes)
-    x = _uniform(rng, batch, d)
     labels = np.array([0, 2, 1])
-    worst = 0.0
-    for name, base in (("x", x), ("w", w), ("b", b)):
-        def f(v, name=name):
-            xs = v if name == "x" else Variable(x)
-            ws = v if name == "w" else Variable(w)
-            bs = v if name == "b" else Variable(b)
-            return cross_entropy_loss(L.dense_softmax(xs, ws, bs), labels)
+    return _worst(_head_tensors(rng), lambda v: cross_entropy_loss(L.dense_softmax(v["x"], v["w"], v["b"]), labels))
 
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+
+def _broken_square(v: Variable) -> Variable:
+    """Squares ``v`` with a deliberately wrong backward rule."""
+    out = Variable(v.value * v.value)
+
+    def bw(g):
+        v.ensure_grad()[...] += g  # should be g * 2 * v.value
+
+    return record("broken_square", out, bw)
 
 
 def _check_injected_bug(rng) -> float:
     """Negative control: an op whose backward rule is deliberately wrong."""
-    x = _uniform(rng, 2, 3)
-
-    def broken_square(v):
-        out = Variable(v.value * v.value)
-
-        def bw(g):
-            v.ensure_grad()[...] += g  # should be g * 2 * v.value
-
-        return record("broken_square", out, bw)
-
-    def f(v):
-        return sum_all(broken_square(v))
-
-    return finite_diff_check(f, x)
+    return _worst({"x": _uniform(rng, 2, 3)}, lambda v: sum_all(_broken_square(v["x"])))
 
 
 LAYER_TARGETS = [
@@ -273,16 +198,16 @@ LAYER_TARGETS = [
     ("lstm_cell_step", _check_lstm_cell),
     ("birnn_context", _check_birnn_context),
     ("highway_forward", _check_highway),
-    ("conv1d_forward_w1", _check_conv_w1),
-    ("conv1d_forward_w2", _check_conv_w2),
+    ("conv1d_forward_w1", partial(_conv_case, window=1)),
+    ("conv1d_forward_w2", partial(_conv_case, window=2)),
     ("maxpool_over_time", _check_maxpool),
     ("mean_over_time", _check_mean_over_time),
     ("sum_over_time", _check_sum_over_time),
     ("dense_softmax", _check_dense_softmax),
     ("softmax_cross_entropy", _check_softmax_cross_entropy),
     # Appended, not inserted: a target's seeds derive from its index.
-    ("gru_scan", _check_gru_scan),
-    ("lstm_scan", _check_lstm_scan),
+    ("gru_scan", partial(_scan_case, cls=L.GruParams, scan=L.gru_scan)),
+    ("lstm_scan", partial(_scan_case, cls=L.LstmParams, scan=L.lstm_scan)),
 ]
 
 

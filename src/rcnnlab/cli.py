@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -119,29 +120,12 @@ def _resolve_options(args) -> dict:
 def _make_config(options: dict, vocab_size: int) -> TrainConfig:
     """The run's config with an rcnn-hw base spec; ``resolve_model`` turns it
     into the spec of each model a command trains."""
-    spec = ModelSpec(
-        kind="rcnn-hw",
-        vocab_size=vocab_size,
-        seq_len=options["seq_len"],
-        embed_dim=options["embed_dim"],
-        hidden_dim=options["hidden_dim"],
-        num_filters=options["num_filters"],
-        highway_layers=options["highway_layers"],
-        mlp_instead_of_highway=options["mlp_instead_of_highway"],
-        num_classes=options["num_classes"],
-    )
-    return TrainConfig(
-        spec=spec,
-        optimizer=options["optimizer"],
-        lr=options["lr"],
-        epochs=options["epochs"],
-        batch_size=options["batch_size"],
-        init_seed=options["init_seed"],
-        shuffle_seed=options["shuffle_seed"],
-        val_fraction=options["val_fraction"],
-        patience=options["patience"],
-        clip_norm=options["clip_norm"],
-    )
+
+    def picked(cls) -> dict:
+        return {f.name: options[f.name] for f in fields(cls) if f.name in options}
+
+    spec = ModelSpec(kind="rcnn-hw", vocab_size=vocab_size, **picked(ModelSpec))
+    return TrainConfig(spec=spec, **picked(TrainConfig))
 
 
 def _load_data(path_str: str) -> tuple[TextDataset, TextDataset | None]:

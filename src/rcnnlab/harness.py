@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import time
@@ -57,6 +58,10 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
+        if self.clip_norm is not None and not self.clip_norm >= 0:
+            raise ConfigError(f"clip_norm must be >= 0 (0 disables clipping), got {self.clip_norm}")
 
     def resolved_clip_norm(self) -> float | None:
         if self.clip_norm is not None:

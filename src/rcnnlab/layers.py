@@ -516,39 +516,29 @@ def _validate_lengths(x: Variable, lengths: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _time_mask(x: Variable, lengths: np.ndarray) -> np.ndarray:
-    return np.arange(x.shape[1])[None, :, None] < lengths[:, None, None]
+def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, weight: np.ndarray) -> Variable:
+    """weight[b] times the sum of the first lengths[b] positions; padding is
+    excluded. Summands are sorted first so the reduction is bit-exactly
+    independent of token order."""
+    mask = np.arange(x.shape[1])[None, :, None] < lengths[:, None, None]
+    out = Variable(np.sort(np.where(mask, x.value, 0.0), axis=1).sum(axis=1) * weight[:, None])
+
+    def bw(g: np.ndarray) -> None:
+        x.ensure_grad()[...] += (g * weight[:, None])[:, None, :] * mask
+
+    return record(op, out, bw)
 
 
 def sum_over_time(x: Variable, lengths: np.ndarray) -> Variable:
-    """Sum of the first lengths[b] positions; padding is excluded.
-
-    Summands are sorted first so the reduction is bit-exactly independent
-    of token order.
-    """
+    """Sum of the first lengths[b] positions; the weight 1.0 leaves every sum bit-exact."""
     lengths = _validate_lengths(x, lengths)
-    mask = _time_mask(x, lengths)
-    masked = np.where(mask, x.value, 0.0)
-    out = Variable(np.sort(masked, axis=1).sum(axis=1))
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += g[:, None, :] * mask
-
-    return record("sum_over_time", out, bw)
+    return _weighted_time_sum("sum_over_time", x, lengths, np.ones(lengths.shape))
 
 
 def mean_over_time(x: Variable, lengths: np.ndarray) -> Variable:
     """Mean over the TRUE length; positions beyond it are excluded."""
     lengths = _validate_lengths(x, lengths)
-    mask = _time_mask(x, lengths)
-    masked = np.where(mask, x.value, 0.0)
-    inv = 1.0 / lengths.astype(np.float64)
-    out = Variable(np.sort(masked, axis=1).sum(axis=1) * inv[:, None])
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += (g * inv[:, None])[:, None, :] * mask
-
-    return record("mean_over_time", out, bw)
+    return _weighted_time_sum("mean_over_time", x, lengths, 1.0 / lengths.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

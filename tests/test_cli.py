@@ -76,6 +76,15 @@ class TestTrain:
                          "--clip-norm", "0", *fast_flags()])
         assert code == 4
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "-0.5"), ("--lr", "0"), ("--lr", "nan"),
+                                            ("--clip-norm", "-1")])
+    def test_bad_rate_or_clip_is_config_error(self, toy_tsv, tmp_path, flag, value):
+        out = tmp_path / "bad"
+        code = main(["train", "--data", str(toy_tsv), "--model", "cow", "--out", str(out),
+                     flag, value, *fast_flags()])
+        assert code == 2
+        assert not out.exists()
+
     def test_default_hyperparameters_echoed(self, toy_tsv, tmp_path):
         out = tmp_path / "defaults"
         code = main(["train", "--data", str(toy_tsv), "--model", "cow",
@@ -284,6 +293,12 @@ class TestGen:
 
     def test_unknown_task_rejected(self, tmp_path):
         assert main(["gen", "--task", "parity", "--out", str(tmp_path / "x.tsv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--vocab-size", "--n"])
+    def test_zero_size_is_config_error(self, tmp_path, flag):
+        run = run_cli("gen", "--task", "keyword", flag, "0", "--out", str(tmp_path / "x.tsv"))
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
 
     def test_bad_window(self, tmp_path):
         assert main(["gen", "--task", "longrange", "--window", "abc",

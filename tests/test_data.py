@@ -219,6 +219,16 @@ class TestGenerators:
         has_sig = (full.ids == sig).any(axis=1)
         np.testing.assert_array_equal(has_sig, full.labels == 1)
 
+    @pytest.mark.parametrize("size", [{"n": 0}, {"vocab_size": 0}], ids=["n0", "vocab0"])
+    @pytest.mark.parametrize("gen,extra", [
+        (D.gen_keyword_task, {}),
+        (D.gen_order_task, {}),
+        (D.gen_longrange_task, {"signal_window": (2, 5)}),
+    ], ids=["keyword", "order", "longrange"])
+    def test_empty_task_or_vocabulary_rejected(self, gen, extra, size):
+        with pytest.raises(ConfigError):
+            gen(**{"n": 10, "vocab_size": 100, "seq_len": 10, **extra, **size})
+
     def test_longrange_invalid_window(self):
         with pytest.raises(ConfigError):
             D.gen_longrange_task(10, (90, 80), seq_len=100, seed=0)

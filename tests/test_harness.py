@@ -54,6 +54,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(val_fraction=1.0)
 
+    @pytest.mark.parametrize("lr", [-0.5, 0.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            tiny_config(lr=lr)
+
+    def test_negative_clip_norm_rejected(self):
+        with pytest.raises(ConfigError, match="clip_norm"):
+            tiny_config(clip_norm=-1.0)
+
     def test_clip_default_by_kind(self):
         assert tiny_config("rcnn-hw").resolved_clip_norm() == 5.0
         assert tiny_config("cow").resolved_clip_norm() is None
