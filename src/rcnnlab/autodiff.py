@@ -14,6 +14,7 @@ This keeps every backward rule a direct transcription of the forward one.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from typing import Callable, Sequence
 
@@ -22,6 +23,33 @@ import numpy as np
 from .errors import ContractError, GradCheckError, ShapeError
 
 _STATE = threading.local()
+
+
+def _keep_freed_pages() -> None:
+    """Keep freed heap pages in the process on glibc; elsewhere do nothing.
+
+    glibc serves a multi-megabyte block from its own mmap and unmaps it on
+    free, or trims the heap top back to the kernel, so each training step
+    page-faults its temporaries in afresh. On a 2-core Xeon (glibc 2.36) a
+    T=500 desk-size RCNN-HW benchmark run took 1.75M minor faults and 4.8 s
+    of system time against 15 s of user time, and a sigmoid over [16000, 32]
+    17.8 ms with 4,968 faults against 6.7 ms with none. Blocks up to 32 MiB
+    (the 64-bit maximum of M_MMAP_THRESHOLD) now come from the heap, and up
+    to 1 GiB of free heap top stays; a step reuses the pages of the last one.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no handle on the running program, as on Windows
+        return
+    # The option numbers are glibc's; gnu_get_libc_version exists only there.
+    if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_pages()
 
 
 def _active_tape() -> "Tape | None":
@@ -57,9 +85,6 @@ class Variable:
     # functions below remain the full API.
     def __add__(self, other: "Variable") -> "Variable":
         return add(self, other)
-
-    def __sub__(self, other: "Variable") -> "Variable":
-        return sub(self, other)
 
     def __mul__(self, other: "Variable") -> "Variable":
         return mul(self, other)
@@ -153,17 +178,6 @@ def add(a: Variable, b: Variable) -> Variable:
     return record("add", out, bw)
 
 
-def sub(a: Variable, b: Variable) -> Variable:
-    _same_shape(a, b, "sub")
-    out = Variable(a.value - b.value)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] += g
-        b.ensure_grad()[...] -= g
-
-    return record("sub", out, bw)
-
-
 def mul(a: Variable, b: Variable) -> Variable:
     _same_shape(a, b, "mul")
     out = Variable(a.value * b.value)
@@ -173,15 +187,6 @@ def mul(a: Variable, b: Variable) -> Variable:
         b.ensure_grad()[...] += g * a.value
 
     return record("mul", out, bw)
-
-
-def one_minus(a: Variable) -> Variable:
-    out = Variable(1.0 - a.value)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] -= g
-
-    return record("one_minus", out, bw)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -199,16 +204,6 @@ def sigmoid(a: Variable) -> Variable:
         a.ensure_grad()[...] += g * s * (1.0 - s)
 
     return record("sigmoid", out, bw)
-
-
-def tanh(a: Variable) -> Variable:
-    t = np.tanh(a.value)
-    out = Variable(t)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] += g * (1.0 - t * t)
-
-    return record("tanh", out, bw)
 
 
 def relu(a: Variable) -> Variable:
@@ -259,23 +254,6 @@ def concat(parts: Sequence[Variable], axis: int) -> Variable:
             p.ensure_grad()[...] += g[tuple(sl)]
 
     return record("concat", out, bw)
-
-
-def slice_axis(x: Variable, axis: int, start: int, stop: int) -> Variable:
-    ndim = x.value.ndim
-    if axis < 0 or axis >= ndim:
-        raise ShapeError(f"slice axis {axis} out of range for rank {ndim}")
-    if not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeError(f"slice [{start}:{stop}] invalid for axis of length {x.shape[axis]}")
-    sl = [slice(None)] * ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    out = Variable(x.value[sl].copy())
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[sl] += g
-
-    return record("slice_axis", out, bw)
 
 
 def reshape(x: Variable, shape: Sequence[int]) -> Variable:

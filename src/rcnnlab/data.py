@@ -83,6 +83,8 @@ def build_vocab(train: TextDataset, max_size: int = 20000, min_freq: int = 2) ->
     Ties in frequency break lexicographically; at most ``max_size - 2``
     content tokens survive after the two reserved ids.
     """
+    if max_size < 2:
+        raise ConfigError(f"vocabulary size cap must be >= 2 for the two reserved ids, got {max_size}")
     if len(train) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
     counts: dict[str, int] = {}

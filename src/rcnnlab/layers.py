@@ -14,9 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .autodiff import (
-    Variable, _stable_sigmoid, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid,
-)
+from .autodiff import Variable, _stable_sigmoid, bias_add, concat, matmul, record, relu, reshape
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
@@ -424,16 +422,38 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     gate = sigmoid(x·W_t + b_t);  y = gate*relu(x·W_h + b_h) + (1-gate)*x.
     The gate and transform read the same full input, which the square
     parameter shapes require.
+
+    One tape node (Srivastava, Greff & Schmidhuber, arXiv 1505.00387): a
+    single matmul over [W_t | W_h] gives both pre-activations, and the
+    backward is written by hand. The mix keeps the order above, so the
+    output matches the primitive graph bit for bit.
     """
     d = x_tilde.shape[-1]
     for name, w in (("transform", p.w_h), ("gate", p.w_t)):
         if w.shape != (d, d):
             raise ShapeError(f"highway {name} weights must be [{d},{d}], got {w.shape}")
-    flat = reshape(x_tilde, (x_tilde.value.size // d, d))
-    gate = sigmoid(bias_add(matmul(flat, p.w_t), p.b_t))
-    transformed = relu(bias_add(matmul(flat, p.w_h), p.b_h))
-    y = mul(gate, transformed) + mul(one_minus(gate), flat)
-    return reshape(y, x_tilde.shape)
+    # Captured now, as in the scan kernels: backward credits these Variables.
+    w_h, b_h, w_t, b_t = (v for _name, v in p.named())
+    x = x_tilde.value.reshape(-1, d)
+    w = np.concatenate([w_t.value, w_h.value], axis=1)
+    pre = x @ w  # [gate | transform] pre-activations
+    pre += np.concatenate([b_t.value, b_h.value])
+    gate = _stable_sigmoid(pre[:, :d])
+    transformed = np.maximum(pre[:, d:], 0.0)
+    out = Variable((gate * transformed + (1.0 - gate) * x).reshape(x_tilde.shape))
+
+    def bw(g: np.ndarray) -> None:
+        g = g.reshape(x.shape)
+        da = np.empty((x.shape[0], 2 * d))  # [gate | transform] pre-activation gradients
+        np.multiply(g * (transformed - x), gate * (1.0 - gate), out=da[:, :d])
+        # Subgradient of the relu at exactly 0 is 0.
+        np.multiply(g * gate, transformed > 0.0, out=da[:, d:])
+        dw, db = x.T @ da, da.sum(axis=0)
+        for v, gv in ((w_t, dw[:, :d]), (w_h, dw[:, d:]), (b_t, db[:d]), (b_h, db[d:])):
+            v.ensure_grad()[...] += gv
+        x_tilde.ensure_grad()[...] += (da @ w.T + g * (1.0 - gate)).reshape(x_tilde.shape)
+
+    return record("highway_forward", out, bw)
 
 
 def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:

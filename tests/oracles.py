@@ -3,16 +3,66 @@
 The forward oracles are written with plain numpy loops and explicit
 arithmetic, deliberately avoiding the package's layers and autodiff
 machinery. The taped graphs at the end are the exception: they build each
-cell step, or each convolution position, from autodiff primitives, so their
-gradients come from the primitives' backward rules and check the fused
-kernels' hand-written backward passes.
+cell step, each convolution position, or the highway block from autodiff
+primitives, so their gradients come from the primitives' backward rules and
+check the fused kernels' hand-written backward passes. The primitives that
+the package itself no longer calls are defined first, for these graphs and
+the engine tests.
 """
 
 import numpy as np
 
 from rcnnlab.autodiff import (
-    Variable, bias_add, concat, matmul, mul, one_minus, record, relu, reshape, sigmoid, slice_axis, tanh,
+    Variable, _same_shape, bias_add, concat, matmul, mul, record, relu, reshape, sigmoid,
 )
+from rcnnlab.errors import ShapeError
+
+
+def sub(a, b):
+    _same_shape(a, b, "sub")
+    out = Variable(a.value - b.value)
+
+    def bw(g):
+        a.ensure_grad()[...] += g
+        b.ensure_grad()[...] -= g
+
+    return record("sub", out, bw)
+
+
+def one_minus(a):
+    out = Variable(1.0 - a.value)
+
+    def bw(g):
+        a.ensure_grad()[...] -= g
+
+    return record("one_minus", out, bw)
+
+
+def tanh(a):
+    t = np.tanh(a.value)
+    out = Variable(t)
+
+    def bw(g):
+        a.ensure_grad()[...] += g * (1.0 - t * t)
+
+    return record("tanh", out, bw)
+
+
+def slice_axis(x, axis, start, stop):
+    ndim = x.value.ndim
+    if axis < 0 or axis >= ndim:
+        raise ShapeError(f"slice axis {axis} out of range for rank {ndim}")
+    if not (0 <= start < stop <= x.shape[axis]):
+        raise ShapeError(f"slice [{start}:{stop}] invalid for axis of length {x.shape[axis]}")
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(start, stop)
+    sl = tuple(sl)
+    out = Variable(x.value[sl].copy())
+
+    def bw(g):
+        x.ensure_grad()[sl] += g
+
+    return record("slice_axis", out, bw)
 
 
 def conv_oracle(y: np.ndarray, filters: np.ndarray, bias: np.ndarray, window: int) -> np.ndarray:
@@ -136,3 +186,14 @@ def taped_conv(y, p):
         responses = bias_add(matmul(window, weights), p.bias)
         positions.append(reshape(responses, (batch, 1, p.bias.shape[0])))
     return relu(concat(positions, axis=1))
+
+
+def taped_highway(x_tilde, p):
+    """The highway block as twelve primitive nodes: both affine maps, the
+    sigmoid gate, the relu transform and the mix y = gate*relu + (1-gate)*x."""
+    d = x_tilde.shape[-1]
+    flat = reshape(x_tilde, (x_tilde.value.size // d, d))
+    gate = sigmoid(bias_add(matmul(flat, p.w_t), p.b_t))
+    transformed = relu(bias_add(matmul(flat, p.w_h), p.b_h))
+    y = mul(gate, transformed) + mul(one_minus(gate), flat)
+    return reshape(y, x_tilde.shape)

@@ -58,6 +58,12 @@ class TestVocabulary:
         vocab = D.build_vocab(ds, max_size=4, min_freq=1)
         assert len(vocab) == 4
 
+    @pytest.mark.parametrize("max_size", [0, 1])
+    def test_cap_below_reserved_ids_rejected(self, max_size):
+        ds = D.TextDataset([("a b c d e f", 0)])
+        with pytest.raises(ConfigError, match=f"got {max_size}"):
+            D.build_vocab(ds, max_size=max_size, min_freq=1)
+
     def test_empty_corpus(self):
         with pytest.raises(DataError):
             D.build_vocab(D.TextDataset([]))

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conv_oracle, taped_conv, taped_gru_scan, taped_lstm_scan, taped_lstm_step
+from oracles import conv_oracle, taped_conv, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step
 
 from rcnnlab import checks
 from rcnnlab import layers as L
-from rcnnlab.autodiff import Tape, Variable, backward, mul, sum_all
+from rcnnlab.autodiff import Tape, Variable, backward, mul, sigmoid, sum_all
 from rcnnlab.data import EncodedBatch
 from rcnnlab.errors import ContractError, DataError, ShapeError
 
@@ -337,6 +337,48 @@ class TestHighway:
         with pytest.raises(ShapeError):
             L.highway_forward(Variable(np.zeros((1, 2, 3))), p)
 
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (2, 50, 32)])
+    def test_matches_taped_reference(self, shape):
+        """The one-node kernel against the twelve-node graph of primitives."""
+        rng = np.random.default_rng(60)
+        p = L.HighwayParams.create(rng, shape[-1])
+        for _n, v in p.named():
+            v.value[...] = rng.uniform(-1, 1, v.shape)  # nonzero biases too
+        x = rng.uniform(-2, 2, shape)
+        w = rng.normal(size=shape)
+        out, grads = weighted_grads(lambda xs: L.highway_forward(xs, p), p, [x], w)
+        ref, ref_grads = weighted_grads(lambda xs: taped_highway(xs, p), p, [x], w)
+        np.testing.assert_array_equal(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            assert_rel_close(g, rg)
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(61)
+        p = L.HighwayParams.create(rng, 4)
+        with Tape() as tape:
+            L.highway_forward(Variable(rng.uniform(-1, 1, (2, 9, 4))), p)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("name", ["w_h", "b_h", "w_t", "b_t"])
+    def test_gradient_lands_on_the_forward_variables(self, name):
+        """Swapping a parameter into its slot after the forward must not
+        redirect the backward's gradient to the newcomer."""
+        rng = np.random.default_rng(62)
+        p = L.HighwayParams.create(rng, 4)
+        p.b_t.value[...] = rng.uniform(-1, 1, 4)
+        y = rng.uniform(-1, 1, (2, 6, 4))
+        used = getattr(p, name)
+        with Tape() as tape:
+            loss = sum_all(L.highway_forward(Variable(y), p))
+        stranger = Variable(used.value.copy())
+        setattr(p, name, stranger)
+        backward(tape, loss)
+        setattr(p, name, used)
+        assert stranger.grad is None
+        landed = used.grad
+        _out, ref_grads = weighted_grads(lambda ys: L.highway_forward(ys, p), p, [y], np.ones((2, 6, 4)))
+        np.testing.assert_array_equal(landed, ref_grads[1 + [n for n, _v in p.named()].index(name)])
+
 
 class TestConv:
     def test_window1_identity_filter(self):
@@ -513,7 +555,7 @@ class TestGateRanges:
         rng = np.random.default_rng(19)
         for _ in range(5):
             pre = rng.uniform(-30, 30, (4, 4))
-            s = L.sigmoid(Variable(pre)).value
+            s = sigmoid(Variable(pre)).value
             assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
