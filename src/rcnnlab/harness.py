@@ -337,8 +337,10 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
         spec = ModelSpec.from_dict(header["spec"])
         # Checked before the model is built, so a corrupt size cannot allocate.
-        if count_params(spec) * 8 > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for a {spec.kind} model")
+        size = count_params(spec) * 8
+        if len(payload) != size:
+            problem = "truncated" if len(payload) < size else "oversized"
+            raise CheckpointError(f"{path}: {problem} payload for a {spec.kind} model ({len(payload)} of {size} bytes)")
         manifest = [(m["name"], tuple(m["shape"]), m["offset"]) for m in header["tensors"]]
         model = build_model(spec, rng_seed=0)
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
@@ -346,15 +348,14 @@ def load_checkpoint(path) -> Model:
 
     if [name for name, _shape, _offset in manifest] != list(model.params):
         raise CheckpointError(f"{path}: tensor manifest does not match the model's parameter set")
+    # Tensors lie back to back, as saved; the payload length is checked above.
+    expected = 0
     for name, shape, offset in manifest:
         p = model.params[name]
         if shape != p.value.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}: {shape} vs {p.value.shape}")
-        if not isinstance(offset, int) or offset < 0:
-            raise CheckpointError(f"{path}: bad payload offset {offset!r} for {name}")
-        nbytes = p.value.size * 8
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        p.value[...] = np.frombuffer(chunk, dtype="<f8").reshape(p.value.shape)
+        if type(offset) is not int or offset != expected:
+            raise CheckpointError(f"{path}: bad payload offset {offset!r} for {name}, expected {expected}")
+        p.value[...] = np.frombuffer(payload, dtype="<f8", count=p.value.size, offset=offset).reshape(p.value.shape)
+        expected += p.value.size * 8
     return model

@@ -8,7 +8,7 @@ Custom backward rules are registered through ``autodiff.record``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,20 +28,39 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-limit, limit, (rows, cols))
 
 
+def _draw(rng: np.random.Generator, shapes) -> list[Variable]:
+    """In order, a Glorot-uniform matrix or a zero vector for each shape."""
+    return [Variable(glorot_uniform(rng, *s) if len(s) == 2 else np.zeros(s)) for s in shapes]
+
+
 @dataclass
-class EmbeddingParams:
+class _Params:
+    """Base of the parameter containers. Each declares its Variable fields
+    and a ``shapes(*dims)`` that lists their shapes in the same order."""
+
+    @classmethod
+    def create(cls, rng, *dims):
+        return cls(*_draw(rng, cls.shapes(*dims)))
+
+    def named(self) -> list[tuple[str, Variable]]:
+        return [(f.name, v) for f in fields(self) if isinstance(v := getattr(self, f.name), Variable)]
+
+
+@dataclass
+class EmbeddingParams(_Params):
     table: Variable  # [vocab_size, embed_dim]; row 0 = PAD, row 1 = UNK, both trainable
+
+    @staticmethod
+    def shapes(vocab_size: int, embed_dim: int):
+        return [(vocab_size, embed_dim)]
 
     @classmethod
     def create(cls, rng, vocab_size: int, embed_dim: int) -> "EmbeddingParams":
         return cls(Variable(rng.uniform(-0.05, 0.05, (vocab_size, embed_dim))))
 
-    def named(self):
-        return [("table", self.table)]
-
 
 @dataclass
-class GruParams:
+class GruParams(_Params):
     w_r: Variable
     w_z: Variable
     w_h: Variable
@@ -52,19 +71,13 @@ class GruParams:
     b_z: Variable
     b_h: Variable
 
-    @classmethod
-    def create(cls, rng, in_dim: int, hidden: int) -> "GruParams":
-        w = [Variable(glorot_uniform(rng, in_dim, hidden)) for _ in range(3)]
-        u = [Variable(glorot_uniform(rng, hidden, hidden)) for _ in range(3)]
-        b = [Variable(np.zeros(hidden)) for _ in range(3)]
-        return cls(*w, *u, *b)
-
-    def named(self):
-        return [(k, getattr(self, k)) for k in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h", "b_r", "b_z", "b_h")]
+    @staticmethod
+    def shapes(in_dim: int, hidden: int):
+        return [(in_dim, hidden)] * 3 + [(hidden, hidden)] * 3 + [(hidden,)] * 3
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_Params):
     w_i: Variable
     w_f: Variable
     w_o: Variable
@@ -78,68 +91,48 @@ class LstmParams:
     b_o: Variable
     b_c: Variable
 
-    @classmethod
-    def create(cls, rng, in_dim: int, hidden: int) -> "LstmParams":
-        w = [Variable(glorot_uniform(rng, in_dim, hidden)) for _ in range(4)]
-        u = [Variable(glorot_uniform(rng, hidden, hidden)) for _ in range(4)]
-        b = [Variable(np.zeros(hidden)) for _ in range(4)]
-        return cls(*w, *u, *b)
-
-    def named(self):
-        return [(k, getattr(self, k)) for k in ("w_i", "w_f", "w_o", "w_c", "u_i", "u_f", "u_o", "u_c", "b_i", "b_f", "b_o", "b_c")]
+    @staticmethod
+    def shapes(in_dim: int, hidden: int):
+        return [(in_dim, hidden)] * 4 + [(hidden, hidden)] * 4 + [(hidden,)] * 4
 
 
 @dataclass
-class HighwayParams:
+class HighwayParams(_Params):
     w_h: Variable  # [d, d] transform weights
     b_h: Variable
     w_t: Variable  # [d, d] transform-gate weights
     b_t: Variable
 
-    @classmethod
-    def create(cls, rng, d: int) -> "HighwayParams":
-        return cls(
-            Variable(glorot_uniform(rng, d, d)),
-            Variable(np.zeros(d)),
-            Variable(glorot_uniform(rng, d, d)),
-            Variable(np.zeros(d)),
-        )
-
-    def named(self):
-        return [(k, getattr(self, k)) for k in ("w_h", "b_h", "w_t", "b_t")]
+    @staticmethod
+    def shapes(d: int):
+        return [(d, d), (d,)] * 2
 
 
 @dataclass
-class ConvParams:
+class ConvParams(_Params):
     filters: Variable  # [num_filters, window * in_dim], window slices flattened row-major
     bias: Variable  # [num_filters]
     window: int
+
+    @staticmethod
+    def shapes(window: int, in_dim: int, num_filters: int):
+        return [(num_filters, window * in_dim), (num_filters,)]
 
     @classmethod
     def create(cls, rng, window: int, in_dim: int, num_filters: int) -> "ConvParams":
         if window < 1:
             raise ShapeError(f"conv window must be >= 1, got {window}")
-        return cls(
-            Variable(glorot_uniform(rng, num_filters, window * in_dim)),
-            Variable(np.zeros(num_filters)),
-            window,
-        )
-
-    def named(self):
-        return [("filters", self.filters), ("bias", self.bias)]
+        return cls(*_draw(rng, cls.shapes(window, in_dim, num_filters)), window)
 
 
 @dataclass
-class DenseParams:
+class DenseParams(_Params):
     w: Variable
     b: Variable
 
-    @classmethod
-    def create(cls, rng, in_dim: int, out_dim: int) -> "DenseParams":
-        return cls(Variable(glorot_uniform(rng, in_dim, out_dim)), Variable(np.zeros(out_dim)))
-
-    def named(self):
-        return [("w", self.w), ("b", self.b)]
+    @staticmethod
+    def shapes(in_dim: int, out_dim: int):
+        return [(in_dim, out_dim), (out_dim,)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +416,12 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     The gate and transform read the same full input, which the square
     parameter shapes require.
 
-    One tape node (Srivastava, Greff & Schmidhuber, arXiv 1505.00387): a
-    single matmul over [W_t | W_h] gives both pre-activations, and the
-    backward is written by hand. The mix keeps the order above, so the
-    output matches the primitive graph bit for bit.
+    One tape node (Srivastava, Greff & Schmidhuber, arXiv 1505.00387): the
+    gate and the transform are one matmul each, so both are contiguous, and
+    the backward is written by hand: it stacks their pre-activation
+    gradients so that the weight and the input gradients are one matmul
+    each, the latter over [W_t | W_h]. The mix keeps the order above, so
+    the output matches the primitive graph bit for bit.
     """
     d = x_tilde.shape[-1]
     for name, w in (("transform", p.w_h), ("gate", p.w_t)):
@@ -435,11 +430,8 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     # Captured now, as in the scan kernels: backward credits these Variables.
     w_h, b_h, w_t, b_t = (v for _name, v in p.named())
     x = x_tilde.value.reshape(-1, d)
-    w = np.concatenate([w_t.value, w_h.value], axis=1)
-    pre = x @ w  # [gate | transform] pre-activations
-    pre += np.concatenate([b_t.value, b_h.value])
-    gate = _stable_sigmoid(pre[:, :d])
-    transformed = np.maximum(pre[:, d:], 0.0)
+    gate = _stable_sigmoid(x @ w_t.value + b_t.value)
+    transformed = np.maximum(x @ w_h.value + b_h.value, 0.0)
     out = Variable((gate * transformed + (1.0 - gate) * x).reshape(x_tilde.shape))
 
     def bw(g: np.ndarray) -> None:
@@ -448,6 +440,7 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
         np.multiply(g * (transformed - x), gate * (1.0 - gate), out=da[:, :d])
         # Subgradient of the relu at exactly 0 is 0.
         np.multiply(g * gate, transformed > 0.0, out=da[:, d:])
+        w = np.concatenate([w_t.value, w_h.value], axis=1)
         dw, db = x.T @ da, da.sum(axis=0)
         for v, gv in ((w_t, dw[:, :d]), (w_h, dw[:, d:]), (b_t, db[:d]), (b_h, db[d:])):
             v.ensure_grad()[...] += gv

@@ -8,6 +8,7 @@ max-over-time pooling; the rest are the comparison baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -192,78 +193,56 @@ class Model:
         return L.dense_softmax(pooled, head.w, head.b)
 
 
-def build_model(spec: ModelSpec, rng_seed: int) -> Model:
-    """Construct parameters in a fixed order so seed implies bit-identical init."""
+def _blocks(spec: ModelSpec) -> dict:
+    """Each block's container class and ``create`` arguments, in draw order.
+    A list stands for a numbered stack (``convs0``, ``highway1``)."""
     spec.validate()
-    rng = np.random.default_rng(rng_seed)
-    blocks: dict = {"embedding": L.EmbeddingParams.create(rng, spec.vocab_size, spec.embed_dim)}
     e, h, f = spec.embed_dim, spec.hidden_dim, spec.num_filters
+    plan: dict = {"embedding": (L.EmbeddingParams, (spec.vocab_size, e))}
 
     if spec.kind == "cow":
         head_in = e
     elif spec.kind == "lstm-avg":
-        blocks["lstm"] = L.LstmParams.create(rng, e, h)
+        plan["lstm"] = (L.LstmParams, (e, h))
         head_in = h
     elif spec.kind == "bilstm-avg":
-        blocks["lstm_fwd"] = L.LstmParams.create(rng, e, h)
-        blocks["lstm_bwd"] = L.LstmParams.create(rng, e, h)
+        plan["lstm_fwd"] = plan["lstm_bwd"] = (L.LstmParams, (e, h))
         head_in = 2 * h
     elif spec.kind == "cnn":
-        blocks["convs"] = [L.ConvParams.create(rng, w, e, f) for w in spec.cnn_windows]
+        plan["convs"] = [(L.ConvParams, (w, e, f)) for w in spec.cnn_windows]
         head_in = len(spec.cnn_windows) * f
     elif spec.kind == "cnn-lstm":
-        blocks["conv"] = L.ConvParams.create(rng, spec.cnn_lstm_window, e, f)
-        blocks["lstm"] = L.LstmParams.create(rng, f, h)
+        plan["conv"] = (L.ConvParams, (spec.cnn_lstm_window, e, f))
+        plan["lstm"] = (L.LstmParams, (f, h))
         head_in = h
     else:  # rcnn / rcnn-hw
-        blocks["gru_fwd"] = L.GruParams.create(rng, e, h)
-        blocks["gru_bwd"] = L.GruParams.create(rng, e, h)
+        plan["gru_fwd"] = plan["gru_bwd"] = (L.GruParams, (e, h))
         d = spec.context_dim
-        if spec.kind == "rcnn-hw":
-            if spec.highway_layers:
-                blocks["highway"] = [L.HighwayParams.create(rng, d) for _ in range(spec.highway_layers)]
-            if spec.mlp_instead_of_highway:
-                blocks["mlp"] = L.DenseParams.create(rng, d, d)
-        blocks["conv"] = L.ConvParams.create(rng, 1, d, f)
+        if spec.highway_layers:
+            plan["highway"] = [(L.HighwayParams, (d,))] * spec.highway_layers
+        if spec.mlp_instead_of_highway:
+            plan["mlp"] = (L.DenseParams, (d, d))
+        plan["conv"] = (L.ConvParams, (1, d, f))
         head_in = f
 
-    blocks["head"] = L.DenseParams.create(rng, head_in, spec.num_classes)
+    plan["head"] = (L.DenseParams, (head_in, spec.num_classes))
+    return plan
+
+
+def build_model(spec: ModelSpec, rng_seed: int) -> Model:
+    """Construct parameters in a fixed order so seed implies bit-identical init."""
+    rng = np.random.default_rng(rng_seed)
+
+    def create(cls, args):
+        return cls.create(rng, *args)
+
+    blocks = {}
+    for name, block in _blocks(spec).items():
+        blocks[name] = [create(*b) for b in block] if isinstance(block, list) else create(*block)
     return Model(spec, blocks)
 
 
 def count_params(spec: ModelSpec) -> int:
-    """Closed-form trainable-scalar count, independent of any built model."""
-    spec.validate()
-    e, h, f, v, c = spec.embed_dim, spec.hidden_dim, spec.num_filters, spec.vocab_size, spec.num_classes
-
-    def gru(in_dim, hidden):
-        return 3 * (in_dim * hidden + hidden * hidden + hidden)
-
-    def lstm(in_dim, hidden):
-        return 4 * (in_dim * hidden + hidden * hidden + hidden)
-
-    def conv(window, in_dim, filters):
-        return filters * window * in_dim + filters
-
-    def dense(in_dim, out_dim):
-        return in_dim * out_dim + out_dim
-
-    total = v * e
-    if spec.kind == "cow":
-        total += dense(e, c)
-    elif spec.kind == "lstm-avg":
-        total += lstm(e, h) + dense(h, c)
-    elif spec.kind == "bilstm-avg":
-        total += 2 * lstm(e, h) + dense(2 * h, c)
-    elif spec.kind == "cnn":
-        total += sum(conv(w, e, f) for w in spec.cnn_windows) + dense(len(spec.cnn_windows) * f, c)
-    elif spec.kind == "cnn-lstm":
-        total += conv(spec.cnn_lstm_window, e, f) + lstm(f, h) + dense(h, c)
-    else:
-        d = spec.context_dim
-        total += 2 * gru(e, h) + conv(1, d, f) + dense(f, c)
-        if spec.kind == "rcnn-hw":
-            total += spec.highway_layers * 2 * (d * d + d)
-            if spec.mlp_instead_of_highway:
-                total += d * d + d
-    return total
+    """Trainable-scalar count from the same block plan, allocating nothing."""
+    stacks = (block if isinstance(block, list) else [block] for block in _blocks(spec).values())
+    return sum(math.prod(shape) for stack in stacks for cls, args in stack for shape in cls.shapes(*args))

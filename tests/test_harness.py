@@ -343,6 +343,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset, trailing", [(8, b""), (True, b""), (0, bytes(16))],
+                             ids=["offset-shifted-8-bytes", "offset-true", "16-trailing-bytes"])
+    def test_payload_outside_the_saved_layout_rejected(self, tmp_path, offset, trailing):
+        import struct
+
+        path = tmp_path / "m.rchw"
+        save_checkpoint(self.build(), path)
+        blob = path.read_bytes()
+        header_len = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header["tensors"][0]["offset"] = offset
+        new_header = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len :] + trailing)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.rchw"
         good = self.build()

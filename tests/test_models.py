@@ -1,11 +1,15 @@
 """Model builder tests: wiring, parameter counts, determinism, and a fully
 independent step-by-step oracle for the tiny highway model."""
 
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from oracles import tiny_forward_oracle
 
 from rcnnlab import checks
+from rcnnlab import layers as L
+from rcnnlab.autodiff import Variable
 from rcnnlab.data import EncodedBatch
 from rcnnlab.errors import ConfigError, ContractError
 from rcnnlab.models import ABLATION_VARIANTS, KINDS, ModelSpec, build_model, count_params, resolve_model
@@ -187,6 +191,29 @@ class TestCountParams:
                           {"highway_layers": 0, "mlp_instead_of_highway": True}):
             spec = small_spec("rcnn-hw", **overrides)
             assert count_params(spec) == build_model(spec, rng_seed=0).num_params()
+
+
+CONTAINER_DIMS = [
+    (L.EmbeddingParams, (11, 4)),
+    (L.GruParams, (5, 3)),
+    (L.LstmParams, (5, 3)),
+    (L.HighwayParams, (6,)),
+    (L.ConvParams, (3, 5, 4)),
+    (L.DenseParams, (5, 2)),
+]
+
+
+@pytest.mark.parametrize("cls, dims", CONTAINER_DIMS, ids=[c.__name__ for c, _d in CONTAINER_DIMS])
+class TestParamContainers:
+    def test_created_shapes_follow_shapes(self, cls, dims):
+        p = cls.create(np.random.default_rng(0), *dims)
+        assert [v.shape for _n, v in p.named()] == cls.shapes(*dims)
+
+    def test_named_lists_variable_fields_in_declaration_order(self, cls, dims):
+        p = cls.create(np.random.default_rng(0), *dims)
+        declared = [name for name, hint in get_type_hints(cls).items() if hint is Variable]
+        assert [name for name, _v in p.named()] == declared
+        assert all(v is getattr(p, name) for name, v in p.named())
 
 
 class TestTinyModelOracle:
