@@ -306,7 +306,7 @@ def sum_all(x: Variable) -> Variable:
 
 def finite_diff_check(
     f: Callable[[Variable], Variable],
-    x: np.ndarray,
+    x: np.ndarray | Variable,
     epsilon: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -314,30 +314,35 @@ def finite_diff_check(
     ``f`` maps a Variable to a scalar Variable and must be deterministic.
     The analytic gradient comes from one taped forward/backward; numeric
     derivatives reevaluate ``f`` untaped at x ± h per coordinate, with h
-    scaled relative to the coordinate's magnitude.
+    scaled relative to the coordinate's magnitude. A Variable ``x`` is
+    perturbed in place, as an optimizer step changes it, and each coordinate
+    is restored exactly even when ``f`` raises; an array is copied into a
+    fresh Variable.
     """
-    x = np.asarray(x, dtype=np.float64)
-    var = Variable(x.copy())
+    var = x if isinstance(x, Variable) else Variable(np.array(x, dtype=np.float64))
+    var.zero_grad()
     with Tape() as tape:
         loss = f(var)
     if loss.value.size != 1:
         raise ContractError(f"finite_diff_check target must return a scalar, got {loss.shape}")
     backward(tape, loss)
-    analytic = np.zeros_like(x) if var.grad is None else var.grad.copy()
+    analytic = np.zeros(var.value.size) if var.grad is None else var.grad.reshape(-1)
 
-    flat = x.reshape(-1)
-    numeric = np.empty_like(flat)
-    for i in range(flat.size):
-        h = epsilon * max(1.0, abs(flat[i]))
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        f_plus = float(f(Variable(bumped.reshape(x.shape))).value)
-        bumped[i] = flat[i] - h
-        f_minus = float(f(Variable(bumped.reshape(x.shape))).value)
+    flat = var.value.flat  # writes through, where reshape(-1) may copy
+    numeric = np.empty(var.value.size)
+    for i in range(numeric.size):
+        original = flat[i]
+        h = epsilon * max(1.0, abs(original))
+        try:
+            flat[i] = original + h
+            f_plus = float(f(var).value)
+            flat[i] = original - h
+            f_minus = float(f(var).value)
+        finally:
+            flat[i] = original
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise GradCheckError(f"non-finite function value at coordinate {i}")
         numeric[i] = (f_plus - f_minus) / (2.0 * h)
 
-    a = analytic.reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(a - numeric) / denom))
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,15 +1,15 @@
 """Finite-difference verification suites over layers and a tiny end-to-end model.
 
-A layer target draws its named tensors and gives a loss over them;
-``_worst`` differences each tensor in turn and keeps the largest error.
-Random inputs are redrawn when they land within finite-difference reach of
-a relu kink or a max-pool tie, so the checks are robust for any seed, not
-just the shipped defaults.
+A layer target draws its tensors as Variables and gives a loss over them;
+``_worst`` differences each Variable in place in turn and keeps the largest
+error. Random inputs are redrawn when they land within finite-difference
+reach of a relu kink or a max-pool tie, so the checks are robust for any
+seed, not just the shipped defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import layers as L
 from .autodiff import Variable, finite_diff_check, mul, record, sigmoid, sum_all
 from .data import EncodedBatch
-from .errors import GradCheckError
+from .errors import ConfigError
 from .models import ModelSpec, build_model
 from .optim import cross_entropy_loss
 
@@ -38,78 +38,50 @@ def _uniform(rng, *shape):
     return rng.uniform(-2.0, 2.0, shape)
 
 
-def _values(p) -> dict[str, np.ndarray]:
-    """A parameter container's tensors by name, in ``p.named()`` order."""
-    return {n: v.value for n, v in p.named()}
-
-
-def _rebuild(p, v: dict[str, Variable]):
-    """``p`` with each named tensor replaced by its Variable in ``v``."""
-    return replace(p, **{n: v[n] for n, _ in p.named()})
-
-
-def _worst(tensors: dict[str, np.ndarray], loss) -> float:
-    """Worst finite-difference error of ``loss`` over every named tensor.
-
-    ``loss`` maps a {name: Variable} dict to a scalar Variable. Each tensor
-    is differenced in turn while the others are held fixed as fresh Variables.
-    """
-    worst = 0.0
-    for name, base in tensors.items():
-        def f(v, name=name):
-            return loss({n: v if n == name else Variable(t) for n, t in tensors.items()})
-
-        worst = max(worst, finite_diff_check(f, base))
-    return worst
+def _worst(variables: list[Variable], loss) -> float:
+    """Worst finite-difference error of the scalar ``loss()`` over each Variable,
+    differenced in place while the others hold their values."""
+    return max(finite_diff_check(lambda _v: loss(), v) for v in variables)
 
 
 def _check_embed(rng) -> float:
     ids = np.array([[1, 4, 1], [2, 0, 3]])  # repeated id exercises scatter-add
-    return _worst({"table": _uniform(rng, 5, 3)}, lambda v: sum_all(sigmoid(L.embedding_lookup(v["table"], ids))))
+    return finite_diff_check(lambda t: sum_all(sigmoid(L.embedding_lookup(t, ids))), _uniform(rng, 5, 3))
 
 
 def _check_gru_cell(rng) -> float:
     batch, in_dim, hidden = 2, 2, 3
     p = L.GruParams.create(rng, in_dim, hidden)
-    tensors = {"x": _uniform(rng, batch, in_dim), "h": _uniform(rng, batch, hidden), **_values(p)}
-    return _worst(tensors, lambda v: sum_all(L.gru_cell_step(v["x"], v["h"], _rebuild(p, v))))
+    x, h = Variable(_uniform(rng, batch, in_dim)), Variable(_uniform(rng, batch, hidden))
+    return _worst([x, h, *dict(p.named()).values()], lambda: sum_all(L.gru_cell_step(x, h, p)))
 
 
 def _check_lstm_cell(rng) -> float:
     batch, in_dim, hidden = 2, 2, 3
     p = L.LstmParams.create(rng, in_dim, hidden)
-    tensors = {
-        "x": _uniform(rng, batch, in_dim),
-        "h": _uniform(rng, batch, hidden),
-        "c": _uniform(rng, batch, hidden),
-        **_values(p),
-    }
+    x, h, c = (Variable(_uniform(rng, batch, d)) for d in (in_dim, hidden, hidden))
 
-    def loss(v):
-        h_t, c_t = L.lstm_cell_step(v["x"], (v["h"], v["c"]), _rebuild(p, v))
+    def loss():
+        h_t, c_t = L.lstm_cell_step(x, (h, c), p)
         return sum_all(h_t) + sum_all(c_t)
 
-    return _worst(tensors, loss)
+    return _worst([x, h, c, *dict(p.named()).values()], loss)
 
 
 def _scan_case(rng, cls, scan) -> float:
     batch, steps, in_dim, hidden = 2, 3, 2, 3
     p = cls.create(rng, in_dim, hidden)
-    tensors = {"x": _uniform(rng, batch, steps, in_dim), **_values(p)}
+    x = Variable(_uniform(rng, batch, steps, in_dim))
     return max(
-        _worst(tensors, lambda v, d=direction: sum_all(scan(v["x"], _rebuild(p, v), d)))
+        _worst([x, *dict(p.named()).values()], lambda d=direction: sum_all(scan(x, p, d)))
         for direction in ("forward", "backward")
     )
 
 
 def _check_birnn_context(rng) -> float:
     batch, steps, embed, hidden = 2, 3, 2, 2
-    tensors = {
-        "x": _uniform(rng, batch, steps, embed),
-        "fwd": _uniform(rng, batch, steps, hidden),
-        "bwd": _uniform(rng, batch, steps, hidden),
-    }
-    return _worst(tensors, lambda v: sum_all(sigmoid(L.birnn_context(v["x"], v["fwd"], v["bwd"]))))
+    x, fwd, bwd = (Variable(_uniform(rng, batch, steps, d)) for d in (embed, hidden, hidden))
+    return _worst([x, fwd, bwd], lambda: sum_all(sigmoid(L.birnn_context(x, fwd, bwd))))
 
 
 def _check_highway(rng) -> float:
@@ -120,7 +92,8 @@ def _check_highway(rng) -> float:
         preact = x.reshape(-1, d) @ p.w_h.value + p.b_h.value
         if np.abs(preact).min() >= _KINK_MARGIN:
             break
-    return _worst({"x": x, **_values(p)}, lambda v: sum_all(L.highway_forward(v["x"], _rebuild(p, v))))
+    x = Variable(x)
+    return _worst([x, *dict(p.named()).values()], lambda: sum_all(L.highway_forward(x, p)))
 
 
 def _conv_case(rng, window: int) -> float:
@@ -134,7 +107,8 @@ def _conv_case(rng, window: int) -> float:
             margins.append(np.abs(win @ p.filters.value.T + p.bias.value).min())
         if min(margins) >= _KINK_MARGIN:
             break
-    return _worst({"y": y, **_values(p)}, lambda v: sum_all(L.conv1d_forward(v["y"], _rebuild(p, v))))
+    y = Variable(y)
+    return _worst([y, *dict(p.named()).values()], lambda: sum_all(L.conv1d_forward(y, p)))
 
 
 def _check_maxpool(rng) -> float:
@@ -144,37 +118,36 @@ def _check_maxpool(rng) -> float:
         top2 = np.sort(x, axis=1)[:, -2:, :]
         if (top2[:, 1, :] - top2[:, 0, :]).min() >= _KINK_MARGIN:
             break
-    return _worst({"x": x}, lambda v: sum_all(L.maxpool_over_time(v["x"])))
+    return finite_diff_check(lambda v: sum_all(L.maxpool_over_time(v)), x)
 
 
 def _check_mean_over_time(rng) -> float:
     lengths = np.array([4, 2])
-    return _worst({"x": _uniform(rng, 2, 4, 3)}, lambda v: sum_all(sigmoid(L.mean_over_time(v["x"], lengths))))
+    return finite_diff_check(lambda v: sum_all(sigmoid(L.mean_over_time(v, lengths))), _uniform(rng, 2, 4, 3))
 
 
 def _check_sum_over_time(rng) -> float:
     lengths = np.array([3, 1])
-    return _worst({"x": _uniform(rng, 2, 4, 3)}, lambda v: sum_all(sigmoid(L.sum_over_time(v["x"], lengths))))
+    return finite_diff_check(lambda v: sum_all(sigmoid(L.sum_over_time(v, lengths))), _uniform(rng, 2, 4, 3))
 
 
-def _head_tensors(rng) -> dict[str, np.ndarray]:
+def _head_variables(rng) -> list[Variable]:
     """Input, weights and bias of the softmax head, drawn as w, b, x."""
     batch, d, classes = 3, 4, 3
     w = L.glorot_uniform(rng, d, classes)
     b = rng.uniform(-0.5, 0.5, classes)
-    return {"x": _uniform(rng, batch, d), "w": w, "b": b}
+    return [Variable(_uniform(rng, batch, d)), Variable(w), Variable(b)]
 
 
 def _check_dense_softmax(rng) -> float:
-    def loss(v):
-        return sum_all(mul(L.dense_softmax(v["x"], v["w"], v["b"]), L.dense_softmax(v["x"], v["w"], v["b"])))
-
-    return _worst(_head_tensors(rng), loss)
+    x, w, b = head = _head_variables(rng)
+    return _worst(head, lambda: sum_all(mul(L.dense_softmax(x, w, b), L.dense_softmax(x, w, b))))
 
 
 def _check_softmax_cross_entropy(rng) -> float:
     labels = np.array([0, 2, 1])
-    return _worst(_head_tensors(rng), lambda v: cross_entropy_loss(L.dense_softmax(v["x"], v["w"], v["b"]), labels))
+    x, w, b = head = _head_variables(rng)
+    return _worst(head, lambda: cross_entropy_loss(L.dense_softmax(x, w, b), labels))
 
 
 def _broken_square(v: Variable) -> Variable:
@@ -189,7 +162,7 @@ def _broken_square(v: Variable) -> Variable:
 
 def _check_injected_bug(rng) -> float:
     """Negative control: an op whose backward rule is deliberately wrong."""
-    return _worst({"x": _uniform(rng, 2, 3)}, lambda v: sum_all(_broken_square(v["x"])))
+    return finite_diff_check(lambda v: sum_all(_broken_square(v)), _uniform(rng, 2, 3))
 
 
 LAYER_TARGETS = [
@@ -211,8 +184,14 @@ LAYER_TARGETS = [
 ]
 
 
+def _check_base_seed(base_seed: int) -> None:
+    if base_seed < 0:
+        raise ConfigError(f"gradcheck seed must be >= 0, got {base_seed}")
+
+
 def run_layer_checks(base_seed: int = 0, seeds: int = 5, inject_bug: bool = False) -> list[CheckResult]:
     """Max relative error per layer target across ``seeds`` random draws."""
+    _check_base_seed(base_seed)
     targets = list(LAYER_TARGETS)
     if inject_bug:
         targets.append(("injected_bug", _check_injected_bug))
@@ -270,6 +249,7 @@ def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
     Parameters are redrawn uniform(-1, 1) at each seed; draws whose
     gradients fall below finite-difference resolution are retried.
     """
+    _check_base_seed(base_seed)
     batch = tiny_batch()
     worst: dict[str, float] = {}
     for k in range(seeds):
@@ -280,24 +260,8 @@ def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
                 p.value[...] = rng.uniform(-1.0, 1.0, p.value.shape)
             if _grads_resolvable(model, batch):
                 break
-        for name in model.params:
-            slot_obj, attr = model.param_slots[name]
-            original = getattr(slot_obj, attr)
-
-            def f(v, slot_obj=slot_obj, attr=attr, original=original):
-                setattr(slot_obj, attr, v)
-                try:
-                    return cross_entropy_loss(model.forward(batch), batch.labels)
-                finally:
-                    setattr(slot_obj, attr, original)
-
-            err = finite_diff_check(f, original.value)
+        for name, p in model.params.items():
+            err = finite_diff_check(lambda _v: cross_entropy_loss(model.forward(batch), batch.labels), p)
             worst[name] = max(worst.get(name, 0.0), err)
     return [CheckResult(name, err) for name, err in worst.items()]
 
-
-def verify(results: list[CheckResult], tolerance: float = TOLERANCE) -> None:
-    failed = [r for r in results if not r.passed(tolerance)]
-    if failed:
-        lines = ", ".join(f"{r.name}={r.max_rel_error:.3e}" for r in failed)
-        raise GradCheckError(f"gradient check failed: {lines}")

@@ -263,17 +263,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    seq_len = (500 if args.task == "longrange" else 50) if args.seq_len is None else args.seq_len
     if args.task == "keyword":
-        ds = gen_keyword_task(args.n, vocab_size=args.vocab_size, seq_len=args.seq_len or 50, seed=args.seed)
+        ds = gen_keyword_task(args.n, vocab_size=args.vocab_size, seq_len=seq_len, seed=args.seed)
     elif args.task == "order":
-        ds = gen_order_task(args.n, vocab_size=args.vocab_size, seq_len=args.seq_len or 50, seed=args.seed)
+        ds = gen_order_task(args.n, vocab_size=args.vocab_size, seq_len=seq_len, seed=args.seed)
     else:
         try:
             lo, hi = (int(v) for v in args.window.split(","))
         except ValueError as exc:
             raise ConfigError(f"--window must be 'lo,hi' integers: {args.window!r}") from exc
         ds = gen_longrange_task(
-            args.n, (lo, hi), seq_len=args.seq_len or 500, seed=args.seed, vocab_size=args.vocab_size
+            args.n, (lo, hi), seq_len=seq_len, seed=args.seed, vocab_size=args.vocab_size
         )
     out = Path(args.out)
     if out.parent and not out.parent.exists():
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=["keyword", "order", "longrange"])
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
+    p.add_argument("--seq-len", dest="seq_len", type=int, help="text length (default 50; 500 for longrange)")
     p.add_argument("--vocab-size", dest="vocab_size", type=int, default=100)
     p.add_argument("--window", default="200,400", help="longrange signal window 'lo,hi'")
     p.add_argument("--out", required=True)

@@ -220,7 +220,9 @@ def _filler_tokens(rng: np.random.Generator, vocab_size: int, n: int) -> list[st
     return [f"w{k:03d}" for k in rng.integers(0, vocab_size, size=n)]
 
 
-def _check_task_size(n: int, vocab_size: int) -> None:
+def _check_task_size(n: int, vocab_size: int, seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"a task needs seed >= 0, got {seed}")
     if n < 1:
         raise ConfigError(f"a task needs n >= 1 examples, got {n}")
     if vocab_size < 1:
@@ -229,7 +231,7 @@ def _check_task_size(n: int, vocab_size: int) -> None:
 
 def gen_keyword_task(n: int, vocab_size: int = 100, seq_len: int = 50, seed: int = 0) -> TextDataset:
     """Presence detection: label 1 iff the sentinel token occurs anywhere."""
-    _check_task_size(n, vocab_size)
+    _check_task_size(n, vocab_size, seed)
     if seq_len < 3:
         raise ConfigError(f"keyword task needs seq_len >= 3, got {seq_len}")
     rng = np.random.default_rng(seed)
@@ -249,7 +251,7 @@ def gen_order_task(n: int, vocab_size: int = 100, seq_len: int = 50, seed: int =
     The token multiset of an example is independent of its label, so any
     order-free representation carries no signal by construction.
     """
-    _check_task_size(n, vocab_size)
+    _check_task_size(n, vocab_size, seed)
     if seq_len < 4:
         raise ConfigError(f"order task needs seq_len >= 4, got {seq_len}")
     rng = np.random.default_rng(seed)
@@ -277,7 +279,7 @@ def gen_longrange_task(
     Encoding with a cap below the window truncates the signal away, which
     is what the sequence-length sweep exercises.
     """
-    _check_task_size(n, vocab_size)
+    _check_task_size(n, vocab_size, seed)
     lo, hi = signal_window
     if not (0 <= lo < hi <= seq_len):
         raise ConfigError(f"signal window [{lo},{hi}) invalid for seq_len {seq_len}")

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.init_seed < 0 or self.shuffle_seed < 0:
+            raise ConfigError(f"seeds must be >= 0, got init_seed {self.init_seed}, shuffle_seed {self.shuffle_seed}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
         if self.clip_norm is not None and not self.clip_norm >= 0:

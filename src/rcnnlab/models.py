@@ -130,13 +130,10 @@ class Model:
         self.spec = spec
         self.blocks = blocks
         self.params: dict[str, Variable] = {}
-        # Field slots let verification code swap one parameter tensor in and out.
-        self.param_slots: dict[str, tuple[object, str]] = {}
         for block_name, block in blocks.items():
             for sub_name, sub in ([(f"{block_name}{i}", s) for i, s in enumerate(block)] if isinstance(block, list) else [(block_name, block)]):
                 for name, var in sub.named():
                     self.params[f"{sub_name}.{name}"] = var
-                    self.param_slots[f"{sub_name}.{name}"] = (sub, name)
 
     def parameters(self) -> list[Variable]:
         return list(self.params.values())

@@ -293,6 +293,42 @@ class TestFiniteDiffCheck:
             ad.finite_diff_check(f, np.array([1.0]))
 
 
+    def test_held_variable_differenced_in_place_and_restored(self):
+        held = Variable(np.random.default_rng(5).uniform(-2, 2, (3, 4))[:, :2])  # reshape(-1) copies it
+        before = held.value.tobytes()
+        seen = []
+
+        def f(v):
+            assert v is held
+            seen.append(float(v.value[1, 1]))
+            return ad.sum_all(ad.mul(v, v))
+
+        assert ad.finite_diff_check(f, held) <= 1e-7
+        assert held.value.tobytes() == before
+        assert len(set(seen)) == 3  # x, x + h and x - h: the bump reached the held value
+
+    def test_held_variable_restored_when_loss_fails(self):
+        held = Variable(np.array([1.0, -0.25, 3.0]))
+        before = held.value.tobytes()
+
+        def f(v):
+            value = np.inf if v.value[1] != -0.25 else float(np.sum(v.value))
+            return ad.record("maybe_inf", Variable(np.array(value)), lambda g: None)
+
+        with pytest.raises(GradCheckError, match="coordinate 1"):
+            ad.finite_diff_check(f, held)
+        assert held.value.tobytes() == before
+
+        def raising(v):
+            if v.value[2] < 3.0:
+                raise FloatingPointError("loss undefined below x = 3")
+            return ad.sum_all(v)
+
+        with pytest.raises(FloatingPointError):
+            ad.finite_diff_check(raising, held)
+        assert held.value.tobytes() == before
+
+
 OPS_FOR_RANDOM_CHECK = [
     ("matmul", lambda v, aux: ad.sum_all(ad.matmul(v, Variable(aux[:v.shape[1] * 2].reshape(v.shape[1], 2))))),
     ("add", lambda v, aux: ad.sum_all(ad.mul(ad.add(v, Variable(aux[:v.value.size].reshape(v.shape))), Variable(aux[:v.value.size].reshape(v.shape))))),

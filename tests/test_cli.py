@@ -313,6 +313,36 @@ class TestGen:
                      "--out", str(tmp_path / "x.tsv")]) == 2
 
 
+class TestNegativeSeedAndZeroLength:
+    @pytest.mark.parametrize("argv,config", [
+        (["gen", "--task", "keyword", "--seed", "-1"], None),
+        (["gen", "--task", "keyword", "--seq-len", "0"], None),
+        (["gen", "--task", "longrange", "--seq-len", "0"], None),
+        (["train", "--data", "{data}", "--model", "cow", "--seed", "-1"], None),
+        (["train", "--data", "{data}", "--model", "cow"], {"init_seed": -1}),
+        (["train", "--data", "{data}", "--model", "cow"], {"shuffle_seed": -1}),
+        (["compare", "--data", "{data}", "--models", "cow", "--seed", "-1"], None),
+        (["sweep", "--data", "{data}", "--model", "cow", "--lengths", "5,10", "--seed", "-1"], None),
+        (["gradcheck", "--scope", "layer", "--seed", "-1"], None),
+        (["gradcheck", "--scope", "model", "--seed", "-1"], None),
+    ], ids=["gen-seed", "gen-keyword-len0", "gen-longrange-len0", "train-seed", "config-init-seed",
+            "config-shuffle-seed", "compare-seed", "sweep-seed", "gradcheck-layer-seed", "gradcheck-model-seed"])
+    def test_exits_two_without_traceback_or_output(self, toy_tsv, tmp_path, argv, config):
+        argv = [str(toy_tsv) if a == "{data}" else a for a in argv]
+        out = tmp_path / "out"
+        if argv[0] != "gradcheck":
+            argv += ["--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        run = run_cli(*argv)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "config error" in run.stderr
+        assert not out.exists()
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["train", "eval", "compare", "sweep", "gradcheck", "gen"])
     def test_subcommand_help(self, cmd, capsys):

@@ -235,6 +235,15 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             gen(**{"n": 10, "vocab_size": 100, "seq_len": 10, **extra, **size})
 
+    @pytest.mark.parametrize("gen,extra", [
+        (D.gen_keyword_task, {}),
+        (D.gen_order_task, {}),
+        (D.gen_longrange_task, {"signal_window": (2, 5)}),
+    ], ids=["keyword", "order", "longrange"])
+    def test_negative_seed_rejected(self, gen, extra):
+        with pytest.raises(ConfigError, match="seed"):
+            gen(n=10, seq_len=10, seed=-1, **extra)
+
     def test_longrange_invalid_window(self):
         with pytest.raises(ConfigError):
             D.gen_longrange_task(10, (90, 80), seq_len=100, seed=0)

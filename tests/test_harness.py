@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(epochs=0)
 
+    @pytest.mark.parametrize("seed", ["init_seed", "shuffle_seed"])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=seed):
+            tiny_config(**{seed: -1})
+
     def test_bad_val_fraction_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(val_fraction=1.0)

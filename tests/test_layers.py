@@ -569,13 +569,13 @@ class TestLayerGradients:
     def test_worst_differences_every_named_tensor(self):
         """A backward rule wrong only for the second tensor still fails."""
         rng = np.random.default_rng(20)
-        tensors = {"a": rng.uniform(-2, 2, (2, 3)), "b": rng.uniform(-2, 2, (2, 3))}
+        a, b = Variable(rng.uniform(-2, 2, (2, 3))), Variable(rng.uniform(-2, 2, (2, 3)))
 
         def loss(square_b):
-            return lambda v: sum_all(mul(v["a"], v["a"])) + sum_all(square_b(v["b"]))
+            return lambda: sum_all(mul(a, a)) + sum_all(square_b(b))
 
-        assert checks._worst(tensors, loss(lambda b: mul(b, b))) < 1e-6
-        assert checks._worst(tensors, loss(checks._broken_square)) > 1e-2
+        assert checks._worst([a, b], loss(lambda v: mul(v, v))) < 1e-6
+        assert checks._worst([a, b], loss(checks._broken_square)) > 1e-2
 
     def test_injected_bug_fails(self):
         results = checks.run_layer_checks(base_seed=0, seeds=1, inject_bug=True)
