@@ -189,11 +189,14 @@ def mul(a: Variable, b: Variable) -> Variable:
     return record("mul", out, bw)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; it is exp(-x) on the non-negative side and
-    # exp(x) on the negative one.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(x) as 0.5·tanh(x/2) + 0.5 in four in-place passes; ``out`` may be
+    ``x``. tanh saturates without overflow or underflow at any x."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid(a: Variable) -> Variable:

@@ -80,8 +80,9 @@ def _scan_case(rng, cls, scan) -> float:
 
 def _check_birnn_context(rng) -> float:
     batch, steps, embed, hidden = 2, 3, 2, 2
-    x, fwd, bwd = (Variable(_uniform(rng, batch, steps, d)) for d in (embed, hidden, hidden))
-    return _worst([x, fwd, bwd], lambda: sum_all(sigmoid(L.birnn_context(x, fwd, bwd))))
+    x = Variable(_uniform(rng, batch, steps, embed))
+    pair = [L.GruParams.create(rng, embed, hidden) for _ in range(2)]  # forward, backward
+    return _worst([x] + [v for p in pair for _n, v in p.named()], lambda: sum_all(sigmoid(L.birnn_context(x, *pair))))
 
 
 def _check_highway(rng) -> float:

@@ -85,6 +85,8 @@ def build_vocab(train: TextDataset, max_size: int = 20000, min_freq: int = 2) ->
     """
     if max_size < 2:
         raise ConfigError(f"vocabulary size cap must be >= 2 for the two reserved ids, got {max_size}")
+    if min_freq < 1:
+        raise ConfigError(f"minimum token frequency must be >= 1, got {min_freq}")
     if len(train) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
     counts: dict[str, int] = {}

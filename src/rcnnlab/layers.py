@@ -9,6 +9,7 @@ Custom backward rules are registered through ``autodiff.record``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -163,19 +164,13 @@ def embed(batch: EncodedBatch, params: EmbeddingParams) -> Variable:
 # ---------------------------------------------------------------------------
 
 # Each cell type has one fused kernel that runs a whole scan and records one
-# tape node (Appleyard, Kočiský & Blunsom, arXiv 1604.01946). The input
-# projection x·[W_*] of every step is a single matmul over the concatenated
-# gate weights; each step adds one recurrent matmul over the concatenated
-# U_* (two for the GRU, whose candidate reads r*h). Backpropagation through
-# time is written by hand: the reverse loop does elementwise work and two
-# small matmuls per step, and every weight, bias and input gradient is then
-# one matmul or sum over all steps. The per-gate parameter tensors stay the
-# stored form; they are concatenated once per forward, and the gradients
-# are split back onto the Variables the forward read.
-#
-# Kernels work time-major in processing order: a backward scan reverses its
-# input before the projection, so it computes exactly what a forward scan of
-# the reversed input does. Cell steps are the T=1 case of the same kernels.
+# tape node (Appleyard, Kočiský & Blunsom, arXiv 1604.01946). One matmul
+# projects every step's input, each step adds its recurrent matmuls, and the
+# hand-written backpropagation through time ends in one matmul or sum per
+# weight, bias and input gradient, split back onto the per-gate Variables the
+# forward read. Kernels run time-major in processing order: a backward scan
+# reverses its input first, exactly as a forward scan of the reversed input.
+# Cell steps are the T=1 case.
 
 def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     """[B, T, k] in time order -> contiguous [T, B, k] in processing order."""
@@ -188,82 +183,93 @@ def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     return a[:, ::-1] if reverse else a
 
 
-def _check_recurrent_shapes(name: str, x: Variable, states: tuple[Variable, ...], w: Variable, hidden: int) -> None:
+def _check_recurrent_shapes(name: str, cls, x: Variable, states: tuple[Variable, ...], params, hidden: int) -> None:
+    """Each list in ``params`` has cls's shapes for x; each state is [B, len(params)·hidden]."""
     batch, _steps, width = x.shape
-    if width != w.shape[0]:
-        raise ShapeError(f"{name} input width {width} does not match input weights {w.shape}")
+    if any([v.shape for v in vs] != cls.shapes(width, hidden) for vs in params):
+        raise ShapeError(f"{name} parameters for input width {width} must have shapes {cls.shapes(width, hidden)}")
     for s in states:
-        if s.shape != (batch, hidden):
-            raise ShapeError(f"{name} state must be [{batch}, {hidden}], got {s.shape}")
+        if s.shape != (batch, len(params) * hidden):
+            raise ShapeError(f"{name} state must be [{batch}, {len(params) * hidden}], got {s.shape}")
 
 
-def _gru_kernel(x: Variable, h0: Variable, p: GruParams, reverse: bool) -> Variable:
-    """Gated recurrent unit over [B, T, d] inputs from state h0; all states [B, T, h].
+def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[np.ndarray], None]:
+    """GRUs over [B, T, d] inputs, one per (GruParams, reverse, band) in
+    ``dirs``, in one loop from the state h0 [B, k·h]; each writes its states
+    [B, T, h] to ``out[:, :, band]``. Returns the backward, given d(out).
 
     r = sigmoid(x·W_r + h·U_r + b_r)
     z = sigmoid(x·W_z + h·U_z + b_z)
     cand = tanh(x·W_h + (r*h)·U_h + b_h)
     h' = z*h + (1-z)*cand        (the update gate keeps the OLD state)
+
+    The state is [h_1 | ... | h_k] and the gates [r_1..r_k | z_1..z_k |
+    cand_1..cand_k], under weights block-diagonal over the directions. Steps
+    are feature-major, [features, B], so each gate is a contiguous block.
     """
     # Captured now: backward credits the Variables this forward read, even if
     # one of p's fields is swapped for another Variable before backward runs.
-    params = [v for _name, v in p.named()]
-    w_r, w_z, w_h, u_r, u_z, u_h, b_r, b_z, b_h = params
-    hidden = u_r.shape[0]
-    _check_recurrent_shapes("gru", x, (h0,), w_r, hidden)
+    params = [[v for _name, v in p.named()] for p, _reverse, _band in dirs]
+    k, hidden = len(dirs), params[0][3].shape[0]
+    n = k * hidden
+    _check_recurrent_shapes("gru", GruParams, x, (h0,), params, hidden)
     batch, steps, width = x.shape
-    w = np.concatenate([w_r.value, w_z.value, w_h.value], axis=1)
-    u_rz = np.concatenate([u_r.value, u_z.value], axis=1)
-    u_c = u_h.value
-    b_rz = np.concatenate([b_r.value, b_z.value])
-    b_c = b_h.value
+    w, u, b = np.zeros((k, width, 3, k, hidden)), np.zeros((k, hidden, 3, k, hidden)), np.empty((3, k, hidden))
+    for j, vs in enumerate(params):
+        w[j, :, :, j], u[j, :, :, j], b[:, j] = (np.stack([v.value for v in vs[i : i + 3]], axis=-2) for i in (0, 3, 6))
+    w, u_t = w.reshape(k * width, 3 * n), np.ascontiguousarray(u.reshape(n, 3 * n).T)  # u_t = [U_rz | U_c]ᵀ
 
-    xs = _time_major(x.value, reverse).reshape(steps * batch, width)
-    xw = (xs @ w).reshape(steps, batch, 3 * hidden)
-    hs = np.empty((steps + 1, batch, hidden))  # hs[t] is the state step t reads
-    hs[0] = h0.value
-    rz = np.empty((steps, batch, 2 * hidden))
-    rh = np.empty((steps, batch, hidden))
-    cand = np.empty((steps, batch, hidden))
+    # [T, B, k·d]: each direction's input in its processing order.
+    xs = np.concatenate([_time_major(x.value, reverse) for _p, reverse, _band in dirs], axis=2)
+    xw = np.matmul(w.T, xs.transpose(0, 2, 1))  # [T, 3n, B], biases folded in
+    xw += b.reshape(3 * n, 1)
+    hs = np.empty((steps + 1, n, batch))  # hs[t] is the state step t reads
+    hs[0] = h0.value.T
+    rz, rh, cand = np.empty((steps, 2 * n, batch)), np.empty((steps, n, batch)), np.empty((steps, n, batch))
     for t in range(steps):
-        h = hs[t]
-        rz[t] = _stable_sigmoid(xw[t, :, : 2 * hidden] + h @ u_rz + b_rz)
-        z = rz[t, :, hidden:]
-        np.multiply(rz[t, :, :hidden], h, out=rh[t])
-        cand[t] = np.tanh(xw[t, :, 2 * hidden :] + rh[t] @ u_c + b_c)
-        hs[t + 1] = z * h + (1.0 - z) * cand[t]
-    out = Variable(np.ascontiguousarray(_batch_major(hs[1:], reverse)))
+        h, a, c, h_next = hs[t], rz[t], cand[t], hs[t + 1]
+        np.matmul(u_t[: 2 * n], h, out=a)
+        a += xw[t, : 2 * n]
+        _stable_sigmoid(a, out=a)
+        np.multiply(a[:n], h, out=rh[t])
+        np.matmul(u_t[2 * n :], rh[t], out=c)
+        c += xw[t, 2 * n :]
+        np.tanh(c, out=c)
+        np.subtract(h, c, out=h_next)  # h' = cand + z*(h - cand)
+        h_next *= a[n:]
+        h_next += c
+    for j, (_p, reverse, band) in enumerate(dirs):
+        out[:, :, band] = _batch_major(hs[1:, j * hidden : (j + 1) * hidden].transpose(0, 2, 1), reverse)
 
     def bw(g: np.ndarray) -> None:
-        gs = _time_major(g, reverse)
-        r, z = rz[:, :, :hidden], rz[:, :, hidden:]
-        # Factors from dL/dh' (or dL/d(r*h) for r) to each gate pre-activation.
-        k_r = hs[:-1] * r * (1.0 - r)
-        k_z = (hs[:-1] - cand) * z * (1.0 - z)
-        k_c = (1.0 - z) * (1.0 - cand * cand)
-        da = np.empty((steps, batch, 3 * hidden))  # pre-activation gradients [r|z|cand]
-        dh = np.zeros((batch, hidden))
+        gs = np.concatenate([_time_major(g[:, :, band], reverse).transpose(0, 2, 1) for _p, reverse, band in dirs], 1)
+        # Factors from dL/d(r*h) (for r) and dL/dh' (z, cand) to the pre-activations, scaled in place below.
+        s = rz * (1.0 - rz)
+        da = np.concatenate([s[:, :n] * hs[:-1], s[:, n:] * (hs[:-1] - cand), (1 - rz[:, n:]) * (1 - cand * cand)], 1)
+        carry, mixed = np.zeros((2 * n, batch)), np.empty((2 * n, batch))  # carry is [dL/d(r*h); dL/dh]
+        drh, dh = carry[:n], carry[n:]
         for t in range(steps - 1, -1, -1):
-            dh = dh + gs[t]
-            da_c = np.multiply(dh, k_c[t], out=da[t, :, 2 * hidden :])
-            drh = da_c @ u_c.T
-            np.multiply(drh, k_r[t], out=da[t, :, :hidden])
-            np.multiply(dh, k_z[t], out=da[t, :, hidden : 2 * hidden])
-            dh = dh * z[t] + drh * r[t] + da[t, :, : 2 * hidden] @ u_rz.T
-        flat = da.reshape(steps * batch, 3 * hidden)
-        du_rz = hs[:-1].reshape(-1, hidden).T @ flat[:, : 2 * hidden]
-        grads = (
-            np.split(xs.T @ flat, 3, axis=1)
-            + np.split(du_rz, 2, axis=1)
-            + [rh.reshape(-1, hidden).T @ flat[:, 2 * hidden :]]
-            + np.split(flat.sum(axis=0), 3)
-        )
-        for v, gv in zip(params, grads):
-            v.ensure_grad()[...] += gv
-        x.ensure_grad()[...] += _batch_major((flat @ w.T).reshape(steps, batch, width), reverse)
-        h0.ensure_grad()[...] += dh
+            dh += gs[t]
+            da[t, 2 * n :] *= dh
+            np.matmul(u_t[2 * n :].T, da[t, 2 * n :], out=drh)
+            da[t, : 2 * n] *= carry
+            np.multiply(carry, rz[t], out=mixed)  # [drh*r; dh*z]
+            np.matmul(u_t[: 2 * n].T, da[t, : 2 * n], out=dh)
+            dh += mixed[n:]
+            dh += mixed[:n]
+        flat, h_rows, rh_rows = (a.transpose(0, 2, 1).reshape(steps * batch, -1) for a in (da, hs[:-1], rh))
+        du = np.concatenate([h_rows.T @ flat[:, : 2 * n], rh_rows.T @ flat[:, 2 * n :]], 1)
+        dw = (xs.reshape(steps * batch, -1).T @ flat).reshape(k, width, 3, k, hidden)
+        du, db = du.reshape(k, hidden, 3, k, hidden), flat.sum(axis=0).reshape(3, k, hidden)
+        for j, vs in enumerate(params):
+            for v, gv in zip(vs, [*dw[j, :, :, j].swapaxes(0, 1), *du[j, :, :, j].swapaxes(0, 1), *db[:, j]]):
+                v.ensure_grad()[...] += gv
+        dxs = (flat @ w.T).reshape(steps, batch, k, width)
+        for j, (_p, reverse, _band) in enumerate(dirs):
+            x.ensure_grad()[...] += _batch_major(dxs[:, :, j], reverse)
+        h0.ensure_grad()[...] += dh.T
 
-    return record("gru_scan", out, bw)
+    return bw
 
 
 def _lstm_kernel(
@@ -280,13 +286,10 @@ def _lstm_kernel(
     # Captured now: backward credits the Variables this forward read, even if
     # one of p's fields is swapped for another Variable before backward runs.
     params = [v for _name, v in p.named()]
-    w_i, w_f, w_o, w_c, u_i, u_f, u_o, u_c, b_i, b_f, b_o, b_c = params
-    hidden = u_i.shape[0]
-    _check_recurrent_shapes("lstm", x, (h0, c0), w_i, hidden)
+    hidden = params[4].shape[0]
+    _check_recurrent_shapes("lstm", LstmParams, x, (h0, c0), [params], hidden)
     batch, steps, width = x.shape
-    w = np.concatenate([w_i.value, w_f.value, w_o.value, w_c.value], axis=1)
-    u = np.concatenate([u_i.value, u_f.value, u_o.value, u_c.value], axis=1)
-    b = np.concatenate([b_i.value, b_f.value, b_o.value, b_c.value])
+    w, u, b = (np.concatenate([v.value for v in params[i : i + 4]], axis=-1) for i in (0, 4, 8))
 
     xs = _time_major(x.value, reverse).reshape(steps * batch, width)
     xw = (xs @ w).reshape(steps, batch, 4 * hidden)
@@ -366,8 +369,9 @@ def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Vari
     the suffix t..T.
     """
     reverse = _scan_reverse(inputs, direction, "gru_scan")
+    out = np.empty(inputs.shape[:2] + (p.u_r.shape[0],))
     h0 = Variable(np.zeros((inputs.shape[0], p.u_r.shape[0])))
-    return _gru_kernel(inputs, h0, p, reverse)
+    return record("gru_scan", Variable(out), _gru_kernel(inputs, h0, [(p, reverse, slice(None))], out))
 
 
 def lstm_scan(inputs: Variable, p: LstmParams, direction: str = "forward") -> Variable:
@@ -385,8 +389,9 @@ def _as_one_step(x_t: Variable, name: str) -> Variable:
 
 def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
     """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1."""
-    h = _gru_kernel(_as_one_step(x_t, "gru_cell_step"), h_prev, p, reverse=False)
-    return reshape(h, (h.shape[0], h.shape[2]))
+    out = np.empty((x_t.shape[0], 1, p.u_r.shape[0]))
+    bw = _gru_kernel(_as_one_step(x_t, "gru_cell_step"), h_prev, [(p, False, slice(None))], out)
+    return record("gru_cell_step", Variable(out[:, 0]), lambda g: bw(g[:, None]))
 
 
 def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: LstmParams) -> tuple[Variable, Variable]:
@@ -396,13 +401,24 @@ def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: Lstm
     return reshape(h, (h.shape[0], h.shape[2])), c_t
 
 
-def birnn_context(x: Variable, fwd_out: Variable, bwd_out: Variable) -> Variable:
-    """Per-position [right-context-state | embedding | left-context-state]."""
-    if not (x.shape[:2] == fwd_out.shape[:2] == bwd_out.shape[:2]):
-        raise ShapeError(
-            f"batch/time dims disagree: {x.shape} vs {fwd_out.shape} vs {bwd_out.shape}"
-        )
-    return concat([bwd_out, x, fwd_out], axis=2)
+def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
+    """Per position [right-context-state | embedding | left-context-state],
+    [batch, T, 2h+e]: the backward and forward GRU scans of the [batch, T, e]
+    embeddings from zero states, run as one loop and one tape node.
+    """
+    _scan_reverse(x, "forward", "birnn_context")  # validates x
+    (batch, steps, embed), hidden = x.shape, p_fwd.u_r.shape[0]
+    mid = slice(hidden, hidden + embed)
+    out = np.empty((batch, steps, 2 * hidden + embed))
+    out[:, :, mid] = x.value
+    dirs = [(p_fwd, False, slice(hidden + embed, None)), (p_bwd, True, slice(None, hidden))]
+    bw = _gru_kernel(x, Variable(np.zeros((batch, 2 * hidden))), dirs, out)
+
+    def backward(g: np.ndarray) -> None:
+        bw(g)
+        x.ensure_grad()[...] += g[:, :, mid]
+
+    return record("birnn_context", Variable(out), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,7 @@ class Model:
             full = np.full(batch.size, states.shape[1], dtype=np.int64)
             pooled = L.mean_over_time(states, full)
         elif spec.kind in ("rcnn", "rcnn-hw"):
-            fwd = L.gru_scan(x, blocks["gru_fwd"], "forward")
-            bwd = L.gru_scan(x, blocks["gru_bwd"], "backward")
-            context = L.birnn_context(x, fwd, bwd)
+            context = L.birnn_context(x, blocks["gru_fwd"], blocks["gru_bwd"])
             if spec.kind == "rcnn-hw":
                 for hw in blocks.get("highway", []):
                     context = L.highway_forward(context, hw)

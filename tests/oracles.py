@@ -156,6 +156,11 @@ def taped_gru_scan(inputs, p, direction):
     return taped_scan(inputs, step, _zero_state(inputs, p), direction)
 
 
+def taped_birnn_context(x, p_fwd, p_bwd):
+    """The context stage as two taped scans around the embeddings."""
+    return concat([taped_gru_scan(x, p_bwd, "backward"), x, taped_gru_scan(x, p_fwd, "forward")], axis=2)
+
+
 def taped_lstm_scan(inputs, p, direction):
     def step(x_t, state):
         h_t, c_t = taped_lstm_step(x_t, state, p)

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,25 @@ class TestElementwise:
     def test_sigmoid_saturates_without_overflow(self):
         v = ad.sigmoid(Variable(np.array([-1000.0, 1000.0]))).value
         np.testing.assert_allclose(v, [0.0, 1.0])
+
+    def test_sigmoid_extremes_raise_no_floating_point_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            v = ad._stable_sigmoid(np.array([-1000.0, 1000.0]))
+        np.testing.assert_array_equal(v, [0.0, 1.0])
+
+    def test_sigmoid_out_may_alias_its_input(self):
+        x = np.linspace(-6.0, 6.0, 25)
+        expected = ad._stable_sigmoid(x)
+        y = x.copy()
+        assert ad._stable_sigmoid(y, out=y) is y
+        np.testing.assert_array_equal(y, expected)
+
+    def test_sigmoid_matches_exponential_form(self):
+        x = np.linspace(-40.0, 40.0, 160001)
+        e = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.abs(ad._stable_sigmoid(x) - reference).max() <= 3e-16
 
     def test_tanh_at_zero(self):
         assert tanh(Variable(np.zeros(2))).value == pytest.approx([0.0, 0.0])

@@ -139,6 +139,14 @@ class TestTrain:
         assert "got 0" in run.stderr
         assert not (tmp_path / "run" / "model.rchw").exists()
 
+    def test_min_freq_below_one_exits_two(self, toy_tsv, tmp_path):
+        run = run_cli("train", "--data", str(toy_tsv), "--model", "cow", "--out", str(tmp_path / "run"),
+                      *fast_flags(), "--min-freq", "-3")
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert "config error" in run.stderr and "got -3" in run.stderr
+        assert not (tmp_path / "run" / "model.rchw").exists()
+
     def test_config_int_accepted_for_float_and_null_for_defaulted_null(self, toy_tsv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lr": 1, "clip_norm": None, "val_fraction": 0.25}))

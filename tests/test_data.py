@@ -64,6 +64,12 @@ class TestVocabulary:
         with pytest.raises(ConfigError, match=f"got {max_size}"):
             D.build_vocab(ds, max_size=max_size, min_freq=1)
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_min_freq_below_one_rejected(self, min_freq):
+        ds = D.TextDataset([("a b c d e f", 0)])
+        with pytest.raises(ConfigError, match=f"got {min_freq}"):
+            D.build_vocab(ds, min_freq=min_freq)
+
     def test_empty_corpus(self):
         with pytest.raises(DataError):
             D.build_vocab(D.TextDataset([]))

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conv_oracle, taped_conv, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    conv_oracle, taped_birnn_context, taped_conv, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step,
+)
 
 from rcnnlab import checks
 from rcnnlab import layers as L
@@ -193,21 +197,26 @@ def random_params(cls, rng, in_dim, hidden):
 
 def weighted_grads(forward, p, inputs, weights):
     """Output and gradients of sum(weights * forward(inputs)) with respect to
-    the inputs and every parameter tensor of ``p``."""
-    for _n, v in p.named():
+    the inputs and every parameter tensor of ``p``, a container or a tuple
+    of them."""
+    tensors = [v for q in (p if isinstance(p, tuple) else (p,)) for _n, v in q.named()]
+    for v in tensors:
         v.zero_grad()
     xs = [Variable(a) for a in inputs]
     with Tape() as tape:
         out = forward(*xs)
         loss = sum_all(mul(out, Variable(weights)))
     backward(tape, loss)
-    wrt = xs + [v for _n, v in p.named()]
+    wrt = xs + tensors
     return out.value, [np.zeros_like(v.value) if v.grad is None else v.grad.copy() for v in wrt]
 
 
-def assert_rel_close(got, expected, tol=1e-12):
+def assert_rel_close(got, expected, tol=1e-12, floor=0.0):
+    """Largest gap within ``tol`` of the largest expected magnitude, or of
+    ``floor`` when that is larger."""
+    scale = max(np.abs(expected).max(), floor)
     gap = np.abs(got - expected).max()
-    assert gap <= tol * np.abs(expected).max(), f"gap {gap:.2e} against scale {np.abs(expected).max():.2e}"
+    assert gap <= tol * scale, f"gap {gap:.2e} against scale {scale:.2e}"
 
 
 class TestFusedScans:
@@ -268,35 +277,121 @@ class TestFusedScans:
         np.testing.assert_array_equal(landed, ref_grads[1])
 
 
+def gru_pair(rng, in_dim, hidden):
+    """Forward and backward GRU parameters, every tensor drawn uniform(-1, 1)."""
+    return random_params(L.GruParams, rng, in_dim, hidden), random_params(L.GruParams, rng, in_dim, hidden)
+
+
 class TestBirnnContext:
     def test_per_position_width(self):
+        p_fwd, p_bwd = gru_pair(np.random.default_rng(0), 100, 32)
         x = Variable(np.zeros((5, 7, 100)))
-        fwd = Variable(np.zeros((5, 7, 32)))
-        bwd = Variable(np.zeros((5, 7, 32)))
-        assert L.birnn_context(x, fwd, bwd).shape == (5, 7, 164)
+        assert L.birnn_context(x, p_fwd, p_bwd).shape == (5, 7, 164)
 
     def test_slicing_recovers_inputs(self):
         rng = np.random.default_rng(9)
-        x, fwd, bwd = (rng.normal(size=(2, 3, w)) for w in (4, 2, 2))
-        out = L.birnn_context(Variable(x), Variable(fwd), Variable(bwd)).value
-        np.testing.assert_array_equal(out[:, :, 0:2], bwd)
+        p_fwd, p_bwd = gru_pair(rng, 4, 2)
+        x = rng.normal(size=(2, 3, 4))
+        out = L.birnn_context(Variable(x), p_fwd, p_bwd).value
+        np.testing.assert_array_equal(out[:, :, 0:2], L.gru_scan(Variable(x), p_bwd, "backward").value)
         np.testing.assert_array_equal(out[:, :, 2:6], x)
-        np.testing.assert_array_equal(out[:, :, 6:8], fwd)
+        np.testing.assert_array_equal(out[:, :, 6:8], L.gru_scan(Variable(x), p_fwd, "forward").value)
 
     def test_zero_embeddings_zero_middle_band(self):
         rng = np.random.default_rng(10)
-        out = L.birnn_context(
-            Variable(np.zeros((2, 3, 4))),
-            Variable(rng.normal(size=(2, 3, 2))),
-            Variable(rng.normal(size=(2, 3, 2))),
-        ).value
+        out = L.birnn_context(Variable(np.zeros((2, 3, 4))), *gru_pair(rng, 4, 2)).value
         np.testing.assert_array_equal(out[:, :, 2:6], np.zeros((2, 3, 4)))
 
-    def test_time_dim_disagreement(self):
+    def test_mismatched_shapes_rejected(self):
+        rng = np.random.default_rng(11)
+        p_fwd, p_bwd = gru_pair(rng, 4, 2)
         with pytest.raises(ShapeError):
-            L.birnn_context(
-                Variable(np.zeros((2, 3, 4))), Variable(np.zeros((2, 2, 2))), Variable(np.zeros((2, 3, 2)))
-            )
+            L.birnn_context(Variable(np.zeros((2, 3, 5))), p_fwd, p_bwd)
+        with pytest.raises(ShapeError):
+            L.birnn_context(Variable(np.zeros((2, 3, 4))), p_fwd, random_params(L.GruParams, rng, 4, 3))
+
+    def test_matches_taped_reference(self):
+        batch, steps, embed, hidden = 3, 7, 4, 5
+        rng = np.random.default_rng(45)
+        pair = gru_pair(rng, embed, hidden)
+        x = rng.uniform(-1, 1, (batch, steps, embed))
+        w = rng.normal(size=(batch, steps, 2 * hidden + embed))
+        out, grads = weighted_grads(lambda xs: L.birnn_context(xs, *pair), pair, [x], w)
+        ref, ref_grads = weighted_grads(lambda xs: taped_birnn_context(xs, *pair), pair, [x], w)
+        assert len(grads) == 19
+        assert_rel_close(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            assert_rel_close(g, rg)
+
+    @pytest.mark.parametrize("batch,steps,embed,hidden", [(32, 50, 16, 8), (3, 7, 5, 3)])
+    def test_gru_bands_equal_single_direction_scans(self, batch, steps, embed, hidden):
+        rng = np.random.default_rng(46)
+        p_fwd, p_bwd = gru_pair(rng, embed, hidden)
+        x = rng.uniform(-1, 1, (batch, steps, embed))
+        out = L.birnn_context(Variable(x), p_fwd, p_bwd).value
+        np.testing.assert_array_equal(out[:, :, :hidden], L.gru_scan(Variable(x), p_bwd, "backward").value)
+        np.testing.assert_array_equal(out[:, :, hidden + embed :], L.gru_scan(Variable(x), p_fwd, "forward").value)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(47)
+        with Tape() as tape:
+            L.birnn_context(Variable(rng.uniform(-1, 1, (2, 9, 3))), *gru_pair(rng, 3, 2))
+        assert len(tape) == 1
+
+    def test_gradient_lands_on_the_forward_variables(self):
+        """Swapping a parameter into its slot after the forward must not
+        redirect the backward's gradient to the newcomer."""
+        rng = np.random.default_rng(48)
+        pair = gru_pair(rng, 2, 3)
+        x = rng.uniform(-1, 1, (2, 4, 2))
+        with Tape() as tape:
+            loss = sum_all(L.birnn_context(Variable(x), *pair))
+        used = [p.u_z for p in pair]
+        strangers = [Variable(v.value.copy()) for v in used]
+        for p, stranger in zip(pair, strangers):
+            p.u_z = stranger
+        backward(tape, loss)
+        for p, v in zip(pair, used):
+            p.u_z = v
+        assert all(stranger.grad is None for stranger in strangers)
+        landed = [v.grad for v in used]
+        _out, ref_grads = weighted_grads(lambda xs: L.birnn_context(xs, *pair), pair, [x], np.ones((2, 4, 8)))
+        np.testing.assert_array_equal(landed[0], ref_grads[1 + 4])  # x, then p_fwd's w_r w_z w_h u_r u_z
+        np.testing.assert_array_equal(landed[1], ref_grads[1 + 9 + 4])
+
+
+class TestKernelProperties:
+    """Both GRU kernels against their taped references over random small shapes.
+
+    A gradient whose terms nearly cancel (a bias summed over few positions)
+    can be far smaller than the terms; its rounding is then measured against
+    the unit scale of the loss's weights, not against itself.
+    """
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(
+        batch=st.integers(1, 9), steps=st.integers(1, 9), in_dim=st.integers(1, 5), hidden=st.integers(1, 5),
+        direction=st.sampled_from(["forward", "backward"]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=1, steps=1, in_dim=1, hidden=1, direction="backward", seed=0)
+    @example(batch=9, steps=9, in_dim=5, hidden=5, direction="forward", seed=1)
+    def test_gru_kernels_match_taped_references(self, batch, steps, in_dim, hidden, direction, seed):
+        rng = np.random.default_rng(seed)
+        pair = gru_pair(rng, in_dim, hidden)
+        x = rng.uniform(-1, 1, (batch, steps, in_dim))
+        cases = [
+            (lambda xs: L.gru_scan(xs, pair[0], direction), lambda xs: taped_gru_scan(xs, pair[0], direction),
+             pair[0], hidden),
+            (lambda xs: L.birnn_context(xs, *pair), lambda xs: taped_birnn_context(xs, *pair), pair,
+             2 * hidden + in_dim),
+        ]
+        for kernel, reference, params, width in cases:
+            w = rng.normal(size=(batch, steps, width))
+            out, grads = weighted_grads(kernel, params, [x], w)
+            ref, ref_grads = weighted_grads(reference, params, [x], w)
+            assert_rel_close(out, ref, floor=1.0)
+            for g, rg in zip(grads, ref_grads):
+                assert_rel_close(g, rg, floor=1.0)
 
 
 class TestHighway:
