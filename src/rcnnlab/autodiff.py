@@ -271,29 +271,6 @@ def reshape(x: Variable, shape: Sequence[int]) -> Variable:
     return record("reshape", out, bw)
 
 
-def max_over_axis(x: Variable, axis: int) -> tuple[Variable, np.ndarray]:
-    """Per-slice maximum plus the index of its first occurrence.
-
-    The backward rule routes the whole upstream gradient to the argmax
-    position; first-occurrence tie-breaking keeps it deterministic.
-    """
-    ndim = x.value.ndim
-    if axis < 0 or axis >= ndim:
-        raise ShapeError(f"max axis {axis} out of range for rank {ndim}")
-    if x.shape[axis] < 1:
-        raise ContractError(f"max over empty axis {axis} of shape {x.shape}")
-    idx = np.argmax(x.value, axis=axis)
-    at = np.expand_dims(idx, axis)
-    values = np.take_along_axis(x.value, at, axis=axis).squeeze(axis)
-    out = Variable(values)
-
-    def bw(g: np.ndarray) -> None:
-        grad = x.ensure_grad()
-        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=axis) + np.expand_dims(g, axis), axis=axis)
-
-    return record("max_over_axis", out, bw), idx
-
-
 def sum_all(x: Variable) -> Variable:
     out = Variable(np.sum(x.value))
 

@@ -97,19 +97,20 @@ def _check_highway(rng) -> float:
     return _worst([x, *dict(p.named()).values()], lambda: sum_all(L.highway_forward(x, p)))
 
 
-def _conv_case(rng, window: int) -> float:
+def _conv_case(rng, window: int, pool: bool = False) -> float:
+    """Redraws until every biased response, and with ``pool`` each
+    (batch, filter)'s top-2 gap over time, is ``_KINK_MARGIN`` clear."""
     batch, steps, d, filters = 2, 4, 2, 3
     for _ in range(100):
         p = L.ConvParams.create(rng, window, d, filters)
         y = _uniform(rng, batch, steps, d)
-        margins = []
-        for i in range(steps - window + 1):
-            win = y[:, i : i + window, :].reshape(batch, -1)
-            margins.append(np.abs(win @ p.filters.value.T + p.bias.value).min())
-        if min(margins) >= _KINK_MARGIN:
+        wins = [y[:, i : i + window, :].reshape(batch, -1) for i in range(steps - window + 1)]
+        responses = np.stack([win @ p.filters.value.T + p.bias.value for win in wins], axis=1)
+        top2 = np.sort(responses, axis=1)[:, -2:]
+        if np.abs(responses).min() >= _KINK_MARGIN and (not pool or (top2[:, 1] - top2[:, 0]).min() >= _KINK_MARGIN):
             break
     y = Variable(y)
-    return _worst([y, *dict(p.named()).values()], lambda: sum_all(L.conv1d_forward(y, p)))
+    return _worst([y, *dict(p.named()).values()], lambda: sum_all(L.conv1d_forward(y, p, pool=pool)))
 
 
 def _check_maxpool(rng) -> float:
@@ -182,6 +183,8 @@ LAYER_TARGETS = [
     # Appended, not inserted: a target's seeds derive from its index.
     ("gru_scan", partial(_scan_case, cls=L.GruParams, scan=L.gru_scan)),
     ("lstm_scan", partial(_scan_case, cls=L.LstmParams, scan=L.lstm_scan)),
+    ("conv1d_pool_w1", partial(_conv_case, window=1, pool=True)),
+    ("conv1d_pool_w2", partial(_conv_case, window=2, pool=True)),
 ]
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from . import autodiff as ad
 from .autodiff import Variable, _stable_sigmoid, bias_add, concat, matmul, record, relu, reshape
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
@@ -474,7 +473,15 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     return reshape(y, x.shape[:-1] + (p.w.shape[1],))
 
 
-def conv1d_forward(y: Variable, p: ConvParams) -> Variable:
+def _max_over_time(maps: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Each filter's maximum over the positions of [B, L, F] maps, and the
+    (batch [B], position [B, F]) index of its first argmax, which routes the
+    maximum's gradient."""
+    at = maps.argmax(axis=1)
+    return np.take_along_axis(maps, at[:, None], axis=1)[:, 0], (np.arange(maps.shape[0]), at)
+
+
+def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variable:
     """Valid (no-padding) 1-d convolution with a relu response.
 
     Output position i is relu(filters · flattened y[i : i+window] + bias),
@@ -485,6 +492,14 @@ def conv1d_forward(y: Variable, p: ConvParams) -> Variable:
     against the filters gives all responses. At window 1 the rows are a view
     of the input. The backward adds each of the h window slots back onto
     the input as one strided slab.
+
+    With ``pool``, the same node also takes each filter's maximum over time
+    and returns [B, F]: equal to ``maxpool_over_time`` of the map, because
+    relu commutes with max, so relu only runs on the pooled values. The
+    first argmax of the biased responses picks each (batch, filter)'s
+    window, and the backward touches only those B·F windows: for each
+    filter, its B windows lie in different examples, so plain indexed adds
+    credit the filter and add onto the input's windows in place.
     """
     if y.value.ndim != 3:
         raise ShapeError(f"conv1d expects [batch, T, d], got {y.shape}")
@@ -504,6 +519,22 @@ def conv1d_forward(y: Variable, p: ConvParams) -> Variable:
     w = np.ascontiguousarray(filters.value.T)
     responses = cols @ w
     responses += bias.value
+    if pool:
+        pooled, (rows, at) = _max_over_time(responses.reshape(batch, length, -1))
+        np.maximum(pooled, 0.0, out=pooled)
+
+        def bw_pooled(g: np.ndarray) -> None:
+            da = g * (pooled > 0.0)  # subgradient of the relu at exactly 0 is 0
+            bias.ensure_grad()[...] += da.sum(axis=0)
+            dw, dy, kernels = filters.ensure_grad(), y.ensure_grad(), w.T.reshape(-1, h, width)
+            # dy's [h, d] window at each (batch, position): overlapping, written one filter at a time.
+            windows = as_strided(dy, (batch, length, h, width), dy.strides[:2] + dy.strides[1:])
+            rows_of = cols.reshape(batch, length, -1)
+            for f in range(dw.shape[0]):
+                dw[f] += da[:, f] @ rows_of[rows, at[:, f]]
+                windows[rows, at[:, f]] += da[:, f, None, None] * kernels[f]
+
+        return record("conv1d_forward", Variable(pooled), bw_pooled)
     np.maximum(responses, 0.0, out=responses)
     out = Variable(responses.reshape(batch, length, filters.shape[0]))
 
@@ -526,8 +557,12 @@ def maxpool_over_time(feature_map: Variable) -> Variable:
         raise ShapeError(f"maxpool expects [batch, L, filters], got {feature_map.shape}")
     if feature_map.shape[1] < 1:
         raise ContractError("maxpool over an empty time axis")
-    pooled, _idx = ad.max_over_axis(feature_map, axis=1)
-    return pooled
+    pooled, (rows, at) = _max_over_time(feature_map.value)
+
+    def bw(g: np.ndarray) -> None:
+        feature_map.ensure_grad()[rows[:, None], at, np.arange(g.shape[1])] += g
+
+    return record("maxpool_over_time", Variable(pooled), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,7 @@ class Model:
             bwd = L.lstm_scan(x, blocks["lstm_bwd"], "backward")
             pooled = L.mean_over_time(L.concat([fwd, bwd], axis=2), batch.lengths)
         elif spec.kind == "cnn":
-            pooled = L.concat(
-                [L.maxpool_over_time(L.conv1d_forward(x, conv)) for conv in blocks["convs"]],
-                axis=1,
-            )
+            pooled = L.concat([L.conv1d_forward(x, conv, pool=True) for conv in blocks["convs"]], axis=1)
         elif spec.kind == "cnn-lstm":
             fmap = L.conv1d_forward(x, blocks["conv"])
             states = L.lstm_scan(fmap, blocks["lstm"], "forward")
@@ -179,8 +176,7 @@ class Model:
                     context = L.highway_forward(context, hw)
                 if spec.mlp_instead_of_highway:
                     context = L.dense_relu_positions(context, blocks["mlp"])
-            fmap = L.conv1d_forward(context, blocks["conv"])
-            pooled = L.maxpool_over_time(fmap)
+            pooled = L.conv1d_forward(context, blocks["conv"], pool=True)
         else:  # pragma: no cover - validate() forbids this
             raise ConfigError(f"unknown kind {spec.kind!r}")
 

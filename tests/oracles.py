@@ -15,7 +15,7 @@ import numpy as np
 from rcnnlab.autodiff import (
     Variable, _same_shape, bias_add, concat, matmul, mul, record, relu, reshape, sigmoid,
 )
-from rcnnlab.errors import ShapeError
+from rcnnlab.errors import ContractError, ShapeError
 
 
 def sub(a, b):
@@ -63,6 +63,29 @@ def slice_axis(x, axis, start, stop):
         x.ensure_grad()[sl] += g
 
     return record("slice_axis", out, bw)
+
+
+def max_over_axis(x: Variable, axis: int) -> tuple[Variable, np.ndarray]:
+    """Per-slice maximum plus the index of its first occurrence.
+
+    The backward rule routes the whole upstream gradient to the argmax
+    position; first-occurrence tie-breaking keeps it deterministic.
+    """
+    ndim = x.value.ndim
+    if axis < 0 or axis >= ndim:
+        raise ShapeError(f"max axis {axis} out of range for rank {ndim}")
+    if x.shape[axis] < 1:
+        raise ContractError(f"max over empty axis {axis} of shape {x.shape}")
+    idx = np.argmax(x.value, axis=axis)
+    at = np.expand_dims(idx, axis)
+    values = np.take_along_axis(x.value, at, axis=axis).squeeze(axis)
+    out = Variable(values)
+
+    def bw(g: np.ndarray) -> None:
+        grad = x.ensure_grad()
+        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=axis) + np.expand_dims(g, axis), axis=axis)
+
+    return record("max_over_axis", out, bw), idx
 
 
 def conv_oracle(y: np.ndarray, filters: np.ndarray, bias: np.ndarray, window: int) -> np.ndarray:
@@ -191,6 +214,11 @@ def taped_conv(y, p):
         responses = bias_add(matmul(window, weights), p.bias)
         positions.append(reshape(responses, (batch, 1, p.bias.shape[0])))
     return relu(concat(positions, axis=1))
+
+
+def taped_conv_pool(y, p):
+    """``taped_conv`` max-pooled over time, gradient to the first argmax."""
+    return max_over_axis(taped_conv(y, p), axis=1)[0]
 
 
 def taped_highway(x_tilde, p):

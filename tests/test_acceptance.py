@@ -59,7 +59,7 @@ class TestCriterion1LayerGradients:
             "embed", "gru_cell_step", "lstm_cell_step", "birnn_context",
             "highway_forward", "conv1d_forward_w1", "conv1d_forward_w2",
             "maxpool_over_time", "dense_softmax", "softmax_cross_entropy",
-            "gru_scan", "lstm_scan",
+            "gru_scan", "lstm_scan", "conv1d_pool_w1", "conv1d_pool_w2",
         }
         started = time.perf_counter()
         results = checks.run_layer_checks(base_seed=0, seeds=5)
@@ -126,6 +126,18 @@ class TestCriterion3EquationInvariants:
             b = L.maxpool_over_time(L.conv1d_forward(Variable(x[:, perm, :].copy()), p)).value
             ok = ok and bool(np.array_equal(a, b))
         report(3, "conv+maxpool permutation invariance", ok, "bit-exact over 5 seeds")
+
+    def test_fused_conv1_pool_time_permutation_exact(self):
+        ok = True
+        for seed in range(5):
+            rng = np.random.default_rng(320 + seed)
+            p = L.ConvParams.create(rng, 1, 5, 7)
+            x = rng.uniform(-2, 2, (3, 11, 5))
+            perm = rng.permutation(11)
+            a = L.conv1d_forward(Variable(x), p, pool=True).value
+            b = L.conv1d_forward(Variable(x[:, perm, :].copy()), p, pool=True).value
+            ok = ok and bool(np.array_equal(a, b))
+        report(3, "fused conv+pool permutation invariance", ok, "bit-exact over 5 seeds")
 
     def test_softmax_rows_sum_to_one(self):
         worst = 0.0

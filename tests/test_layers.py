@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    conv_oracle, taped_birnn_context, taped_conv, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step,
+    conv_oracle, taped_birnn_context, taped_conv, taped_conv_pool, taped_gru_scan, taped_highway, taped_lstm_scan,
+    taped_lstm_step,
 )
 
 from rcnnlab import checks
@@ -577,6 +578,77 @@ class TestMaxpool:
         a = L.maxpool_over_time(L.conv1d_forward(Variable(x), p)).value
         b = L.maxpool_over_time(L.conv1d_forward(Variable(x[:, perm, :].copy()), p)).value
         np.testing.assert_array_equal(a, b)
+
+
+class TestConvPool:
+    """The pooled convolution against maxpool_over_time of the feature map."""
+
+    @staticmethod
+    def fused(p, y, w):
+        return weighted_grads(lambda ys: L.conv1d_forward(ys, p, pool=True), p, [y], w)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("batch,extra", [(4, 9), (4, 0), (1, 6)])  # extra = T - window = L - 1
+    def test_matches_composite(self, window, batch, extra):
+        rng = np.random.default_rng(60 + window + extra)
+        p = L.ConvParams.create(rng, window, 3, 6)
+        p.bias.value[...] = rng.uniform(-0.5, 0.5, 6)
+        y = rng.uniform(-2, 2, (batch, window + extra, 3))
+        w = rng.normal(size=(batch, 6))
+        out, (dy, dfilters, dbias) = self.fused(p, y, w)
+        ref, (ref_dy, ref_dfilters, ref_dbias) = weighted_grads(
+            lambda ys: L.maxpool_over_time(L.conv1d_forward(ys, p)), p, [y], w)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(dbias, ref_dbias)
+        assert_rel_close(dfilters, ref_dfilters)
+        assert_rel_close(dy, ref_dy)
+
+    def test_ties_route_to_first_position(self):
+        p = L.ConvParams(Variable(np.array([[1.0, 1.0]])), Variable(np.zeros(1)), 2)
+        y = np.array([[[2.0], [1.0], [2.0], [1.0]]])  # responses 3, 3, 3
+        out, (dy, dfilters, dbias) = self.fused(p, y, np.ones((1, 1)))
+        np.testing.assert_array_equal(out, [[3.0]])
+        np.testing.assert_array_equal(dy[0, :, 0], [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(dfilters, [[2.0, 1.0]])
+        np.testing.assert_array_equal(dbias, [1.0])
+
+    @pytest.mark.parametrize("peak", [0.0, -0.5])
+    def test_nonpositive_maximum_sends_no_gradient(self, peak):
+        p = L.ConvParams(Variable(np.array([[1.0], [-1.0]])), Variable(np.array([peak, 0.0])), 1)
+        y = np.array([[[0.0], [-1.0], [-2.0]]])  # filter 0 peaks at `peak`, filter 1 at 2
+        out, (dy, dfilters, dbias) = self.fused(p, y, np.ones((1, 2)))
+        np.testing.assert_array_equal(out, [[0.0, 2.0]])
+        np.testing.assert_array_equal(dfilters, [[0.0], [-2.0]])
+        np.testing.assert_array_equal(dbias, [0.0, 1.0])
+        np.testing.assert_array_equal(dy[0, :, 0], [0.0, 0.0, -1.0])
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(66)
+        p = L.ConvParams.create(rng, 3, 2, 4)
+        with Tape() as tape:
+            L.conv1d_forward(Variable(rng.uniform(-1, 1, (2, 9, 2))), p, pool=True)
+        assert len(tape) == 1
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        batch=st.integers(1, 4), window=st.integers(1, 5), extra=st.integers(0, 6), width=st.integers(1, 3),
+        filters=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=1, window=1, extra=0, width=1, filters=1, seed=0)
+    @example(batch=4, window=5, extra=6, width=3, filters=4, seed=1)
+    def test_matches_taped_composite_on_integers(self, batch, window, extra, width, filters, seed):
+        """Small integers make every sum exact and ties frequent, so values,
+        tie routing and gradients must all match bit for bit."""
+        rng = np.random.default_rng(seed)
+        p = L.ConvParams(Variable(rng.integers(-2, 3, (filters, window * width)).astype(float)),
+                         Variable(rng.integers(-2, 3, filters).astype(float)), window)
+        y = rng.integers(-2, 3, (batch, window + extra, width)).astype(float)
+        w = rng.integers(-3, 4, (batch, filters)).astype(float)
+        out, grads = weighted_grads(lambda ys: L.conv1d_forward(ys, p, pool=True), p, [y], w)
+        ref, ref_grads = weighted_grads(lambda ys: taped_conv_pool(ys, p), p, [y], w)
+        np.testing.assert_array_equal(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, rg)
 
 
 class TestMaskedReductions:
