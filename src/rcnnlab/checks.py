@@ -3,8 +3,8 @@
 A layer target draws its tensors as Variables and gives a loss over them;
 ``_worst`` differences each Variable in place in turn and keeps the largest
 error. Random inputs are redrawn when they land within finite-difference
-reach of a relu kink or a max-pool tie, so the checks are robust for any
-seed, not just the shipped defaults.
+reach of a relu kink or a max-pool tie, or below its resolution, so the
+checks are robust for any seed, not just the shipped defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import layers as L
-from .autodiff import Variable, finite_diff_check, mul, record, sigmoid, sum_all
+from .autodiff import Tape, Variable, backward, finite_diff_check, mul, record, sigmoid, sum_all
 from .data import EncodedBatch
 from .errors import ConfigError
 from .models import ModelSpec, build_model
@@ -23,6 +23,7 @@ from .optim import cross_entropy_loss
 
 TOLERANCE = 1e-4
 _KINK_MARGIN = 1e-3  # min distance from relu zero / max tie; FD steps are ~2e-5
+_GRAD_FLOOR = 1e-5  # FD rounding on these losses is ~4e-10, so ~4e-5 relative at this floor
 
 
 @dataclass
@@ -80,9 +81,17 @@ def _scan_case(rng, cls, scan) -> float:
 
 def _check_birnn_context(rng) -> float:
     batch, steps, embed, hidden = 2, 3, 2, 2
-    x = Variable(_uniform(rng, batch, steps, embed))
-    pair = [L.GruParams.create(rng, embed, hidden) for _ in range(2)]  # forward, backward
-    return _worst([x] + [v for p in pair for _n, v in p.named()], lambda: sum_all(sigmoid(L.birnn_context(x, *pair))))
+
+    def loss():
+        return sum_all(sigmoid(L.birnn_context(x, *pair)))
+
+    for _ in range(100):
+        x = Variable(_uniform(rng, batch, steps, embed))
+        pair = [L.GruParams.create(rng, embed, hidden) for _ in range(2)]  # forward, backward
+        variables = [x] + [v for p in pair for _n, v in p.named()]
+        if _resolvable(variables, loss, _GRAD_FLOOR):
+            break
+    return _worst(variables, loss)
 
 
 def _check_highway(rng) -> float:
@@ -228,23 +237,16 @@ def tiny_batch() -> EncodedBatch:
     )
 
 
-def _grads_resolvable(model, batch: EncodedBatch) -> bool:
-    """True when every gradient coordinate is either structurally zero or
-    large enough for central differences to resolve at the 1e-4 tolerance."""
-    from .autodiff import Tape, backward
-
-    model.zero_grads()
+def _resolvable(variables: list[Variable], loss, floor: float) -> bool:
+    """True when every gradient coordinate of ``loss()`` is structurally
+    zero or at least ``floor``, which central differences resolve."""
+    for v in variables:
+        v.zero_grad()
     with Tape() as tape:
-        loss = cross_entropy_loss(model.forward(batch), batch.labels)
-    backward(tape, loss)
-    for p in model.parameters():
-        if p.grad is None:
-            continue
-        a = np.abs(p.grad)
-        if ((a > 1e-12) & (a < 1e-7)).any():
-            return False
-    model.zero_grads()
-    return True
+        out = loss()
+    backward(tape, out)
+    grads = [np.abs(v.grad) for v in variables if v.grad is not None]
+    return not any(((a > 1e-12) & (a < floor)).any() for a in grads)
 
 
 def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
@@ -262,7 +264,7 @@ def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
             rng = np.random.default_rng((base_seed + k) * 7919 + draw)
             for p in model.parameters():
                 p.value[...] = rng.uniform(-1.0, 1.0, p.value.shape)
-            if _grads_resolvable(model, batch):
+            if _resolvable(model.parameters(), lambda: cross_entropy_loss(model.forward(batch), batch.labels), 1e-7):
                 break
         for name, p in model.params.items():
             err = finite_diff_check(lambda _v: cross_entropy_loss(model.forward(batch), batch.labels), p)

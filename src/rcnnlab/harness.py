@@ -150,7 +150,7 @@ def train(
         correct = 0
         seen = 0
         for batch_index, batch in enumerate(batches(encoded, config.batch_size, config.shuffle_seed + epoch)):
-            model.zero_grads()
+            optimizer.zero_grads()
             with Tape() as tape:
                 probs = model.forward(batch)
                 loss = cross_entropy_loss(probs, batch.labels)

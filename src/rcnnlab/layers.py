@@ -140,7 +140,7 @@ class DenseParams(_Params):
 # ---------------------------------------------------------------------------
 
 def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
-    """Row gather; the gradient scatter-adds into looked-up rows only."""
+    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order."""
     vocab_size = table.shape[0]
     bad = (ids < 0) | (ids >= vocab_size)
     if bad.any():
@@ -149,7 +149,9 @@ def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
     out = Variable(table.value[ids])
 
     def bw(g: np.ndarray) -> None:
-        np.add.at(table.ensure_grad(), ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        cells = (ids.reshape(-1, 1) * table.shape[1] + np.arange(table.shape[1])).reshape(-1)
+        dt = np.bincount(cells, weights=g.reshape(-1), minlength=table.value.size).reshape(table.shape)
+        table.grad = dt if table.grad is None else np.add(table.grad, dt, out=table.grad)
 
     return record("embedding_lookup", out, bw)
 
@@ -474,11 +476,12 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
 
 
 def _max_over_time(maps: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Each filter's maximum over the positions of [B, L, F] maps, and the
-    (batch [B], position [B, F]) index of its first argmax, which routes the
-    maximum's gradient."""
-    at = maps.argmax(axis=1)
-    return np.take_along_axis(maps, at[:, None], axis=1)[:, 0], (np.arange(maps.shape[0]), at)
+    """Each filter's maximum over the positions of [F, B, L] maps, as [B, F],
+    and the (batch [B], position [B, F]) index of its first argmax, which
+    routes the maximum's gradient. Both reduce the last, time axis."""
+    at = maps.argmax(axis=2)
+    pooled = np.take_along_axis(maps, at[:, :, None], axis=2)[:, :, 0]
+    return np.ascontiguousarray(pooled.T), (np.arange(maps.shape[1]), at.T)
 
 
 def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variable:
@@ -488,18 +491,18 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
     giving a feature map of length T - window + 1.
 
     One im2col kernel (Chellapilla, Puri & Simard, 2006) records one tape
-    node: every window becomes a row of h·d columns, and a single matmul
-    against the filters gives all responses. At window 1 the rows are a view
-    of the input. The backward adds each of the h window slots back onto
-    the input as one strided slab.
+    node: each window is a row of h·d columns, and one matmul, filters on the
+    left, gives all responses filter-major, [F, B·L]; the map is the relu of
+    their transpose, written as one copy. The backward adds each of the h
+    window slots back onto the input as one strided slab.
 
-    With ``pool``, the same node also takes each filter's maximum over time
-    and returns [B, F]: equal to ``maxpool_over_time`` of the map, because
-    relu commutes with max, so relu only runs on the pooled values. The
-    first argmax of the biased responses picks each (batch, filter)'s
-    window, and the backward touches only those B·F windows: for each
-    filter, its B windows lie in different examples, so plain indexed adds
-    credit the filter and add onto the input's windows in place.
+    With ``pool``, the node instead takes each filter's maximum over time and
+    returns [B, F], bit-equal to ``maxpool_over_time`` of the map: the same
+    responses, and relu commutes with max. The first argmax of the biased
+    responses along their contiguous time axis picks each (batch, filter)'s
+    window, and the backward touches only those B·F windows: a filter's B
+    windows lie in different examples, so plain indexed adds credit the
+    filter and add onto the input's windows in place.
     """
     if y.value.ndim != 3:
         raise ShapeError(f"conv1d expects [batch, T, d], got {y.shape}")
@@ -513,37 +516,36 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
         raise ShapeError(f"conv bias must be [{p.filters.shape[0]}], got {p.bias.shape}")
     # Captured now, as in the scan kernels: backward credits these Variables.
     filters, bias = p.filters, p.bias
-    length = steps - h + 1
+    length, num_filters = steps - h + 1, filters.shape[0]
     # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
     cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)
-    w = np.ascontiguousarray(filters.value.T)
-    responses = cols @ w
-    responses += bias.value
+    responses = filters.value @ cols.T
+    responses += bias.value[:, None]
     if pool:
-        pooled, (rows, at) = _max_over_time(responses.reshape(batch, length, -1))
+        pooled, (rows, at) = _max_over_time(responses.reshape(num_filters, batch, length))
         np.maximum(pooled, 0.0, out=pooled)
 
         def bw_pooled(g: np.ndarray) -> None:
             da = g * (pooled > 0.0)  # subgradient of the relu at exactly 0 is 0
             bias.ensure_grad()[...] += da.sum(axis=0)
-            dw, dy, kernels = filters.ensure_grad(), y.ensure_grad(), w.T.reshape(-1, h, width)
+            dw, dy, kernels = filters.ensure_grad(), y.ensure_grad(), filters.value.reshape(-1, h, width)
             # dy's [h, d] window at each (batch, position): overlapping, written one filter at a time.
             windows = as_strided(dy, (batch, length, h, width), dy.strides[:2] + dy.strides[1:])
             rows_of = cols.reshape(batch, length, -1)
-            for f in range(dw.shape[0]):
+            for f in range(num_filters):
                 dw[f] += da[:, f] @ rows_of[rows, at[:, f]]
                 windows[rows, at[:, f]] += da[:, f, None, None] * kernels[f]
 
         return record("conv1d_forward", Variable(pooled), bw_pooled)
-    np.maximum(responses, 0.0, out=responses)
-    out = Variable(responses.reshape(batch, length, filters.shape[0]))
+    fmap = np.maximum(responses.T, 0.0, out=np.empty((batch * length, num_filters)))
+    out = Variable(fmap.reshape(batch, length, num_filters))
 
     def bw(g: np.ndarray) -> None:
         # Subgradient of the relu at exactly 0 is 0.
-        da = g.reshape(responses.shape) * (responses > 0.0)
+        da = g.reshape(fmap.shape) * (fmap > 0.0)
         filters.ensure_grad()[...] += (cols.T @ da).T
         bias.ensure_grad()[...] += da.sum(axis=0)
-        dcols = (da @ w.T).reshape(batch, length, h, width)
+        dcols = (da @ filters.value).reshape(batch, length, h, width)
         dy = y.ensure_grad()
         for k in range(h):
             dy[:, k : k + length] += dcols[:, :, k]
@@ -557,7 +559,7 @@ def maxpool_over_time(feature_map: Variable) -> Variable:
         raise ShapeError(f"maxpool expects [batch, L, filters], got {feature_map.shape}")
     if feature_map.shape[1] < 1:
         raise ContractError("maxpool over an empty time axis")
-    pooled, (rows, at) = _max_over_time(feature_map.value)
+    pooled, (rows, at) = _max_over_time(feature_map.value.transpose(2, 0, 1))
 
     def bw(g: np.ndarray) -> None:
         feature_map.ensure_grad()[rows[:, None], at, np.arange(g.shape[1])] += g

@@ -138,10 +138,6 @@ class Model:
     def parameters(self) -> list[Variable]:
         return list(self.params.values())
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def num_params(self) -> int:
         return sum(p.value.size for p in self.params.values())
 

@@ -139,6 +139,20 @@ class TestCriterion3EquationInvariants:
             ok = ok and bool(np.array_equal(a, b))
         report(3, "fused conv+pool permutation invariance", ok, "bit-exact over 5 seeds")
 
+    def test_conv1_pool_time_permutation_exact_at_long_text_shape(self):
+        """Both pooled paths at rcnn-hw-long's conv shape: [32, 500, 32], 32 filters, window 1."""
+        ok = True
+        for seed in range(3):
+            rng = np.random.default_rng(330 + seed)
+            p = L.ConvParams.create(rng, 1, 32, 32)
+            p.bias.value[...] = rng.uniform(-0.5, 0.5, 32)
+            x = rng.uniform(-2, 2, (32, 500, 32))
+            xp = x[:, rng.permutation(500), :].copy()
+            for pooled in (lambda v: L.conv1d_forward(v, p, pool=True),
+                           lambda v: L.maxpool_over_time(L.conv1d_forward(v, p))):
+                ok = ok and bool(np.array_equal(pooled(Variable(x)).value, pooled(Variable(xp)).value))
+        report(3, "conv+pool permutation invariance at [32, 500, 32]", ok, "bit-exact over 3 seeds, both paths")
+
     def test_softmax_rows_sum_to_one(self):
         worst = 0.0
         for seed in range(5):

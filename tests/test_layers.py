@@ -44,6 +44,24 @@ class TestEmbedding:
         backward(tape, loss)
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1], [0, 0]])
 
+    @pytest.mark.parametrize("ids_shape,vocab,width", [((2, 4), 5, 3), ((32, 200), 20000, 50), ((32, 500), 22, 16)])
+    def test_gradient_matches_add_at_bit_for_bit(self, ids_shape, vocab, width):
+        """Repeated ids add in np.add.at's order, and a -0.0 upstream entry
+        leaves the same +0.0 bits, so the scatter is bit-identical to
+        np.add.at into a zero table."""
+        rng = np.random.default_rng(vocab)
+        ids = rng.integers(0, vocab, ids_shape)
+        ids[0, :2] = 1  # at least one repeated id
+        g = rng.normal(size=ids_shape + (width,))
+        g[-1, -1, 0] = -0.0  # 0.0 + -0.0 is +0.0
+        table = Variable(rng.normal(size=(vocab, width)))
+        with Tape() as tape:
+            loss = sum_all(mul(L.embedding_lookup(table, ids), Variable(g)))
+        backward(tape, loss)
+        expected = np.zeros((vocab, width))
+        np.add.at(expected, ids.reshape(-1), g.reshape(-1, width))
+        np.testing.assert_array_equal(table.grad.view(np.uint64), expected.view(np.uint64))
+
     def test_output_shape(self):
         params = L.EmbeddingParams.create(np.random.default_rng(0), 200, 50)
         out = L.embed(make_batch(np.zeros((32, 100))), params)
@@ -602,6 +620,24 @@ class TestConvPool:
         np.testing.assert_array_equal(dbias, ref_dbias)
         assert_rel_close(dfilters, ref_dfilters)
         assert_rel_close(dy, ref_dy)
+
+    @pytest.mark.parametrize("shape,filters,windows", [((32, 200, 50), 256, (3, 4, 5)), ((3, 7, 5), 4, (4, 5))])
+    def test_modes_share_one_matmul_layout(self, shape, filters, windows):
+        """On float inputs the pooled output and dbias equal maxpool of the
+        map bit for bit. At [3, 7, 5] the im2col product with a contiguous
+        copy of filtersᵀ on the right and filters·columnsᵀ round apart in a
+        few responses, so the modes must share one layout."""
+        rng = np.random.default_rng(70)
+        y = rng.uniform(-2, 2, shape)
+        for window in windows:
+            p = L.ConvParams.create(rng, window, shape[2], filters)
+            p.bias.value[...] = rng.uniform(-0.5, 0.5, filters)
+            w = rng.normal(size=(shape[0], filters))
+            out, (_dy, _dfilters, dbias) = self.fused(p, y, w)
+            ref, (_ref_dy, _ref_dfilters, ref_dbias) = weighted_grads(
+                lambda ys: L.maxpool_over_time(L.conv1d_forward(ys, p)), p, [y], w)
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(dbias, ref_dbias)
 
     def test_ties_route_to_first_position(self):
         p = L.ConvParams(Variable(np.array([[1.0, 1.0]])), Variable(np.zeros(1)), 2)
