@@ -7,9 +7,11 @@ order, which is a valid topological order because every node's inputs
 exist before the node is appended. Gradients accumulate in place, so a
 Variable used twice receives the sum of both branch gradients.
 
-There is no implicit broadcasting: binary ops require identical shapes,
-except ``bias_add`` which broadcasts a rank-1 bias over leading axes.
-This keeps every backward rule a direct transcription of the forward one.
+Every differentiable op is a kernel that computes its output with numpy
+and records one node whose backward rule is written by hand (``record``);
+the engine itself adds only ``concat`` and ``reshape``. There is no implicit
+broadcasting: each kernel checks its operands' shapes and broadcasts a bias
+only over the leading axes that its backward sums.
 """
 
 from __future__ import annotations
@@ -81,17 +83,6 @@ class Variable:
     def __repr__(self) -> str:
         return f"Variable(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    # Sugar for same-shape arithmetic and matrix products; the named
-    # functions below remain the full API.
-    def __add__(self, other: "Variable") -> "Variable":
-        return add(self, other)
-
-    def __mul__(self, other: "Variable") -> "Variable":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Variable") -> "Variable":
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of operations for one forward pass.
@@ -145,50 +136,6 @@ def backward(tape: Tape, loss: Variable) -> None:
             backward_fn(out.grad)
 
 
-# ---------------------------------------------------------------------------
-# Primitive operations
-# ---------------------------------------------------------------------------
-
-def matmul(a: Variable, b: Variable) -> Variable:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs [m,k] by [k,n], got {a.shape} by {b.shape}")
-    out = Variable(a.value @ b.value)
-
-    def bw(g: np.ndarray) -> None:
-        # dA = dC·Bᵀ, dB = Aᵀ·dC
-        a.ensure_grad()[...] += g @ b.value.T
-        b.ensure_grad()[...] += a.value.T @ g
-
-    return record("matmul", out, bw)
-
-
-def _same_shape(a: Variable, b: Variable, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} needs identical shapes, got {a.shape} and {b.shape}")
-
-
-def add(a: Variable, b: Variable) -> Variable:
-    _same_shape(a, b, "add")
-    out = Variable(a.value + b.value)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] += g
-        b.ensure_grad()[...] += g
-
-    return record("add", out, bw)
-
-
-def mul(a: Variable, b: Variable) -> Variable:
-    _same_shape(a, b, "mul")
-    out = Variable(a.value * b.value)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] += g * b.value
-        b.ensure_grad()[...] += g * a.value
-
-    return record("mul", out, bw)
-
-
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(x) as 0.5·tanh(x/2) + 0.5 in four in-place passes; ``out`` may be
     ``x``. tanh saturates without overflow or underflow at any x."""
@@ -197,42 +144,6 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
-
-
-def sigmoid(a: Variable) -> Variable:
-    s = _stable_sigmoid(a.value)
-    out = Variable(s)
-
-    def bw(g: np.ndarray) -> None:
-        a.ensure_grad()[...] += g * s * (1.0 - s)
-
-    return record("sigmoid", out, bw)
-
-
-def relu(a: Variable) -> Variable:
-    out = Variable(np.maximum(a.value, 0.0))
-
-    def bw(g: np.ndarray) -> None:
-        # Subgradient at exactly 0 is 0.
-        a.ensure_grad()[...] += g * (a.value > 0.0)
-
-    return record("relu", out, bw)
-
-
-def bias_add(x: Variable, b: Variable) -> Variable:
-    """Add a rank-1 bias over the trailing axis, broadcast over leading axes.
-
-    The single sanctioned broadcast in the engine.
-    """
-    if b.value.ndim != 1 or x.value.ndim < 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"bias_add needs [..., d] plus [d], got {x.shape} and {b.shape}")
-    out = Variable(x.value + b.value)
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += g
-        b.ensure_grad()[...] += g.reshape(-1, b.shape[0]).sum(axis=0)
-
-    return record("bias_add", out, bw)
 
 
 def concat(parts: Sequence[Variable], axis: int) -> Variable:
@@ -269,15 +180,6 @@ def reshape(x: Variable, shape: Sequence[int]) -> Variable:
         x.ensure_grad()[...] += g.reshape(x.shape)
 
     return record("reshape", out, bw)
-
-
-def sum_all(x: Variable) -> Variable:
-    out = Variable(np.sum(x.value))
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += g
-
-    return record("sum_all", out, bw)
 
 
 # ---------------------------------------------------------------------------

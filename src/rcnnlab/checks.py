@@ -1,21 +1,26 @@
 """Finite-difference verification suites over layers and a tiny end-to-end model.
 
-A layer target draws its tensors as Variables and gives a loss over them;
-``_worst`` differences each Variable in place in turn and keeps the largest
-error. Random inputs are redrawn when they land within finite-difference
-reach of a relu kink or a max-pool tie, or below its resolution, so the
-checks are robust for any seed, not just the shipped defaults.
+A layer target draws its tensors as Variables and gives the function of them
+to check. The loss is that function's projection onto a random cotangent w,
+<w, f(...)>, as in JAX's ``check_grads``: a transposed or misrouted backward
+shows, where a uniform sum over the output can hide it. ``_redraw`` draws
+again while a draw lies within finite-difference reach of a relu kink or a
+max-pool tie, or has a gradient below its resolution, and ``_worst``
+differences each Variable of the draw in place in turn and keeps the largest
+error. So the checks hold for any seed, not just the shipped defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
+from typing import Callable
 
 import numpy as np
 
 from . import layers as L
-from .autodiff import Tape, Variable, backward, finite_diff_check, mul, record, sigmoid, sum_all
+from .autodiff import Tape, Variable, backward, concat, finite_diff_check, record
 from .data import EncodedBatch
 from .errors import ConfigError
 from .models import ModelSpec, build_model
@@ -39,126 +44,163 @@ def _uniform(rng, *shape):
     return rng.uniform(-2.0, 2.0, shape)
 
 
+def _tensors(*containers) -> list[Variable]:
+    return [v for p in containers for _name, v in p.named()]
+
+
+def _clear_of_kinks(preact: np.ndarray) -> bool:
+    return bool(np.abs(preact).min() >= _KINK_MARGIN)
+
+
+def _clear_of_ties(a: np.ndarray) -> bool:
+    """True when each maximum over axis 1 leads the runner-up by the margin."""
+    top2 = np.sort(a, axis=1)[:, -2:]
+    return bool((top2[:, 1] - top2[:, 0]).min() >= _KINK_MARGIN)
+
+
+def _projection(out: Variable, w: np.ndarray) -> Variable:
+    """The scalar <w, out>; its backward hands ``out`` the cotangent w."""
+    result = Variable(np.sum(w * out.value))
+
+    def bw(g: np.ndarray) -> None:
+        out.ensure_grad()[...] += g * w
+
+    return record("projection", result, bw)
+
+
+def _resolvable(variables: list[Variable], loss, floor: float) -> bool:
+    """True when every gradient coordinate of ``loss()`` is structurally
+    zero or at least ``floor``, which central differences resolve."""
+    for v in variables:
+        v.zero_grad()
+    with Tape() as tape:
+        out = loss()
+    backward(tape, out)
+    grads = [np.abs(v.grad) for v in variables if v.grad is not None]
+    return not any(((a > 1e-12) & (a < floor)).any() for a in grads)
+
+
+def _redraw(draw, floor: float) -> tuple[list[Variable], Callable[[], Variable]]:
+    """The first of up to 100 draws ``draw() -> (variables, loss, clear)`` that
+    is ``clear`` of kinks and ties and whose gradients are resolvable at
+    ``floor``, or else the last one, as (variables, loss)."""
+    for _ in range(100):
+        variables, loss, clear = draw()
+        if clear and _resolvable(variables, loss, floor):
+            break
+    return variables, loss
+
+
 def _worst(variables: list[Variable], loss) -> float:
     """Worst finite-difference error of the scalar ``loss()`` over each Variable,
     differenced in place while the others hold their values."""
     return max(finite_diff_check(lambda _v: loss(), v) for v in variables)
 
 
-def _check_embed(rng) -> float:
+def _check(target, rng: np.random.Generator) -> float:
+    """Worst error of ``target(rng) -> (variables, f, clear)``, projected onto
+    a standard normal cotangent, on its first resolvable draw. The cotangents
+    come from a child of rng's seed, so they leave rng's own stream to the
+    target's tensors."""
+    cotangents = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
+
+    def draw():
+        variables, f, clear = target(rng)
+        w = cotangents.standard_normal(f().shape)
+        return variables, lambda: _projection(f(), w), clear
+
+    return _worst(*_redraw(draw, _GRAD_FLOOR))
+
+
+def _embed(rng):
     ids = np.array([[1, 4, 1], [2, 0, 3]])  # repeated id exercises scatter-add
-    return finite_diff_check(lambda t: sum_all(sigmoid(L.embedding_lookup(t, ids))), _uniform(rng, 5, 3))
+    table = Variable(_uniform(rng, 5, 3))
+    return [table], lambda: L.embedding_lookup(table, ids), True
 
 
-def _check_gru_cell(rng) -> float:
+def _gru_cell(rng):
     batch, in_dim, hidden = 2, 2, 3
     p = L.GruParams.create(rng, in_dim, hidden)
     x, h = Variable(_uniform(rng, batch, in_dim)), Variable(_uniform(rng, batch, hidden))
-    return _worst([x, h, *dict(p.named()).values()], lambda: sum_all(L.gru_cell_step(x, h, p)))
+    return [x, h, *_tensors(p)], lambda: L.gru_cell_step(x, h, p), True
 
 
-def _check_lstm_cell(rng) -> float:
+def _lstm_cell(rng):
     batch, in_dim, hidden = 2, 2, 3
     p = L.LstmParams.create(rng, in_dim, hidden)
     x, h, c = (Variable(_uniform(rng, batch, d)) for d in (in_dim, hidden, hidden))
-
-    def loss():
-        h_t, c_t = L.lstm_cell_step(x, (h, c), p)
-        return sum_all(h_t) + sum_all(c_t)
-
-    return _worst([x, h, c, *dict(p.named()).values()], loss)
+    return [x, h, c, *_tensors(p)], lambda: concat(L.lstm_cell_step(x, (h, c), p), axis=1), True
 
 
-def _scan_case(rng, cls, scan) -> float:
+def _scan(rng, cls, scan):
+    """Both directions of ``scan``, side by side."""
     batch, steps, in_dim, hidden = 2, 3, 2, 3
     p = cls.create(rng, in_dim, hidden)
     x = Variable(_uniform(rng, batch, steps, in_dim))
-    return max(
-        _worst([x, *dict(p.named()).values()], lambda d=direction: sum_all(scan(x, p, d)))
-        for direction in ("forward", "backward")
-    )
+    return [x, *_tensors(p)], lambda: concat([scan(x, p, d) for d in ("forward", "backward")], axis=2), True
 
 
-def _check_birnn_context(rng) -> float:
+def _birnn_context(rng):
     batch, steps, embed, hidden = 2, 3, 2, 2
-
-    def loss():
-        return sum_all(sigmoid(L.birnn_context(x, *pair)))
-
-    for _ in range(100):
-        x = Variable(_uniform(rng, batch, steps, embed))
-        pair = [L.GruParams.create(rng, embed, hidden) for _ in range(2)]  # forward, backward
-        variables = [x] + [v for p in pair for _n, v in p.named()]
-        if _resolvable(variables, loss, _GRAD_FLOOR):
-            break
-    return _worst(variables, loss)
+    x = Variable(_uniform(rng, batch, steps, embed))
+    pair = [L.GruParams.create(rng, embed, hidden) for _ in range(2)]  # forward, backward
+    return [x, *_tensors(*pair)], lambda: L.birnn_context(x, *pair), True
 
 
-def _check_highway(rng) -> float:
+def _highway(rng):
     batch, steps, d = 2, 3, 4
-    for _ in range(100):
-        p = L.HighwayParams.create(rng, d)
-        x = _uniform(rng, batch, steps, d)
-        preact = x.reshape(-1, d) @ p.w_h.value + p.b_h.value
-        if np.abs(preact).min() >= _KINK_MARGIN:
-            break
+    p = L.HighwayParams.create(rng, d)
+    x = _uniform(rng, batch, steps, d)
+    clear = _clear_of_kinks(x.reshape(-1, d) @ p.w_h.value + p.b_h.value)
     x = Variable(x)
-    return _worst([x, *dict(p.named()).values()], lambda: sum_all(L.highway_forward(x, p)))
+    return [x, *_tensors(p)], lambda: L.highway_forward(x, p), clear
 
 
-def _conv_case(rng, window: int, pool: bool = False) -> float:
-    """Redraws until every biased response, and with ``pool`` each
-    (batch, filter)'s top-2 gap over time, is ``_KINK_MARGIN`` clear."""
+def _dense_relu(rng):
+    batch, steps, d, width = 2, 3, 4, 3
+    p = L.DenseParams.create(rng, d, width)
+    x = _uniform(rng, batch, steps, d)
+    clear = _clear_of_kinks(x.reshape(-1, d) @ p.w.value + p.b.value)
+    x = Variable(x)
+    return [x, *_tensors(p)], lambda: L.dense_relu_positions(x, p), clear
+
+
+def _conv(rng, window: int, pool: bool = False):
+    """Clear when every biased response, and with ``pool`` each
+    (batch, filter)'s maximum over time, is ``_KINK_MARGIN`` clear."""
     batch, steps, d, filters = 2, 4, 2, 3
-    for _ in range(100):
-        p = L.ConvParams.create(rng, window, d, filters)
-        y = _uniform(rng, batch, steps, d)
-        wins = [y[:, i : i + window, :].reshape(batch, -1) for i in range(steps - window + 1)]
-        responses = np.stack([win @ p.filters.value.T + p.bias.value for win in wins], axis=1)
-        top2 = np.sort(responses, axis=1)[:, -2:]
-        if np.abs(responses).min() >= _KINK_MARGIN and (not pool or (top2[:, 1] - top2[:, 0]).min() >= _KINK_MARGIN):
-            break
+    p = L.ConvParams.create(rng, window, d, filters)
+    y = _uniform(rng, batch, steps, d)
+    wins = [y[:, i : i + window, :].reshape(batch, -1) for i in range(steps - window + 1)]
+    responses = np.stack([win @ p.filters.value.T + p.bias.value for win in wins], axis=1)
+    clear = _clear_of_kinks(responses) and (not pool or _clear_of_ties(responses))
     y = Variable(y)
-    return _worst([y, *dict(p.named()).values()], lambda: sum_all(L.conv1d_forward(y, p, pool=pool)))
+    return [y, *_tensors(p)], lambda: L.conv1d_forward(y, p, pool=pool), clear
 
 
-def _check_maxpool(rng) -> float:
-    batch, steps, filters = 2, 4, 3
-    for _ in range(100):
-        x = _uniform(rng, batch, steps, filters)
-        top2 = np.sort(x, axis=1)[:, -2:, :]
-        if (top2[:, 1, :] - top2[:, 0, :]).min() >= _KINK_MARGIN:
-            break
-    return finite_diff_check(lambda v: sum_all(L.maxpool_over_time(v)), x)
+def _maxpool(rng):
+    x = _uniform(rng, 2, 4, 3)
+    clear = _clear_of_ties(x)
+    x = Variable(x)
+    return [x], lambda: L.maxpool_over_time(x), clear
 
 
-def _check_mean_over_time(rng) -> float:
-    lengths = np.array([4, 2])
-    return finite_diff_check(lambda v: sum_all(sigmoid(L.mean_over_time(v, lengths))), _uniform(rng, 2, 4, 3))
+def _over_time(rng, reduce, lengths):
+    x = Variable(_uniform(rng, 2, 4, 3))
+    return [x], lambda: reduce(x, lengths), True
 
 
-def _check_sum_over_time(rng) -> float:
-    lengths = np.array([3, 1])
-    return finite_diff_check(lambda v: sum_all(sigmoid(L.sum_over_time(v, lengths))), _uniform(rng, 2, 4, 3))
-
-
-def _head_variables(rng) -> list[Variable]:
-    """Input, weights and bias of the softmax head, drawn as w, b, x."""
+def _dense_softmax(rng):
     batch, d, classes = 3, 4, 3
     w = L.glorot_uniform(rng, d, classes)
     b = rng.uniform(-0.5, 0.5, classes)
-    return [Variable(_uniform(rng, batch, d)), Variable(w), Variable(b)]
+    x, w, b = head = [Variable(_uniform(rng, batch, d)), Variable(w), Variable(b)]
+    return head, lambda: L.dense_softmax(x, w, b), True
 
 
-def _check_dense_softmax(rng) -> float:
-    x, w, b = head = _head_variables(rng)
-    return _worst(head, lambda: sum_all(mul(L.dense_softmax(x, w, b), L.dense_softmax(x, w, b))))
-
-
-def _check_softmax_cross_entropy(rng) -> float:
-    labels = np.array([0, 2, 1])
-    x, w, b = head = _head_variables(rng)
-    return _worst(head, lambda: cross_entropy_loss(L.dense_softmax(x, w, b), labels))
+def _softmax_cross_entropy(rng):
+    head, probs, clear = _dense_softmax(rng)
+    return head, lambda: cross_entropy_loss(probs(), np.array([0, 2, 1])), clear
 
 
 def _broken_square(v: Variable) -> Variable:
@@ -171,29 +213,31 @@ def _broken_square(v: Variable) -> Variable:
     return record("broken_square", out, bw)
 
 
-def _check_injected_bug(rng) -> float:
+def _injected_bug(rng):
     """Negative control: an op whose backward rule is deliberately wrong."""
-    return finite_diff_check(lambda v: sum_all(_broken_square(v)), _uniform(rng, 2, 3))
+    v = Variable(_uniform(rng, 2, 3))
+    return [v], lambda: _broken_square(v), True
 
 
 LAYER_TARGETS = [
-    ("embed", _check_embed),
-    ("gru_cell_step", _check_gru_cell),
-    ("lstm_cell_step", _check_lstm_cell),
-    ("birnn_context", _check_birnn_context),
-    ("highway_forward", _check_highway),
-    ("conv1d_forward_w1", partial(_conv_case, window=1)),
-    ("conv1d_forward_w2", partial(_conv_case, window=2)),
-    ("maxpool_over_time", _check_maxpool),
-    ("mean_over_time", _check_mean_over_time),
-    ("sum_over_time", _check_sum_over_time),
-    ("dense_softmax", _check_dense_softmax),
-    ("softmax_cross_entropy", _check_softmax_cross_entropy),
+    ("embed", _embed),
+    ("gru_cell_step", _gru_cell),
+    ("lstm_cell_step", _lstm_cell),
+    ("birnn_context", _birnn_context),
+    ("highway_forward", _highway),
+    ("conv1d_forward_w1", partial(_conv, window=1)),
+    ("conv1d_forward_w2", partial(_conv, window=2)),
+    ("maxpool_over_time", _maxpool),
+    ("mean_over_time", partial(_over_time, reduce=L.mean_over_time, lengths=np.array([4, 2]))),
+    ("sum_over_time", partial(_over_time, reduce=L.sum_over_time, lengths=np.array([3, 1]))),
+    ("dense_softmax", _dense_softmax),
+    ("softmax_cross_entropy", _softmax_cross_entropy),
     # Appended, not inserted: a target's seeds derive from its index.
-    ("gru_scan", partial(_scan_case, cls=L.GruParams, scan=L.gru_scan)),
-    ("lstm_scan", partial(_scan_case, cls=L.LstmParams, scan=L.lstm_scan)),
-    ("conv1d_pool_w1", partial(_conv_case, window=1, pool=True)),
-    ("conv1d_pool_w2", partial(_conv_case, window=2, pool=True)),
+    ("gru_scan", partial(_scan, cls=L.GruParams, scan=L.gru_scan)),
+    ("lstm_scan", partial(_scan, cls=L.LstmParams, scan=L.lstm_scan)),
+    ("conv1d_pool_w1", partial(_conv, window=1, pool=True)),
+    ("conv1d_pool_w2", partial(_conv, window=2, pool=True)),
+    ("dense_relu_positions", _dense_relu),
 ]
 
 
@@ -207,12 +251,12 @@ def run_layer_checks(base_seed: int = 0, seeds: int = 5, inject_bug: bool = Fals
     _check_base_seed(base_seed)
     targets = list(LAYER_TARGETS)
     if inject_bug:
-        targets.append(("injected_bug", _check_injected_bug))
+        targets.append(("injected_bug", _injected_bug))
     results = []
     for idx, (name, fn) in enumerate(targets):
         worst = 0.0
         for k in range(seeds):
-            worst = max(worst, fn(np.random.default_rng(base_seed + 1000 * k + idx)))
+            worst = max(worst, _check(fn, np.random.default_rng(base_seed + 1000 * k + idx)))
         results.append(CheckResult(name, worst))
     return results
 
@@ -237,18 +281,6 @@ def tiny_batch() -> EncodedBatch:
     )
 
 
-def _resolvable(variables: list[Variable], loss, floor: float) -> bool:
-    """True when every gradient coordinate of ``loss()`` is structurally
-    zero or at least ``floor``, which central differences resolve."""
-    for v in variables:
-        v.zero_grad()
-    with Tape() as tape:
-        out = loss()
-    backward(tape, out)
-    grads = [np.abs(v.grad) for v in variables if v.grad is not None]
-    return not any(((a > 1e-12) & (a < floor)).any() for a in grads)
-
-
 def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
     """End-to-end loss gradient check for every parameter of a tiny rcnn-hw.
 
@@ -260,14 +292,18 @@ def run_model_checks(base_seed: int = 0, seeds: int = 5) -> list[CheckResult]:
     worst: dict[str, float] = {}
     for k in range(seeds):
         model = build_model(tiny_rcnn_hw_spec(), rng_seed=base_seed + k)
-        for draw in range(100):
-            rng = np.random.default_rng((base_seed + k) * 7919 + draw)
+        draws = count((base_seed + k) * 7919)
+
+        def loss():
+            return cross_entropy_loss(model.forward(batch), batch.labels)
+
+        def draw():
+            rng = np.random.default_rng(next(draws))
             for p in model.parameters():
                 p.value[...] = rng.uniform(-1.0, 1.0, p.value.shape)
-            if _resolvable(model.parameters(), lambda: cross_entropy_loss(model.forward(batch), batch.labels), 1e-7):
-                break
-        for name, p in model.params.items():
-            err = finite_diff_check(lambda _v: cross_entropy_loss(model.forward(batch), batch.labels), p)
-            worst[name] = max(worst.get(name, 0.0), err)
-    return [CheckResult(name, err) for name, err in worst.items()]
+            return model.parameters(), loss, True
 
+        _redraw(draw, 1e-7)
+        for name, p in model.params.items():
+            worst[name] = max(worst.get(name, 0.0), finite_diff_check(lambda _v: loss(), p))
+    return [CheckResult(name, err) for name, err in worst.items()]

@@ -3,7 +3,8 @@
 
 Layers are pure functions of (parameters, input); parameter containers are
 plain dataclasses of Variables and may be shared read-only across threads.
-Custom backward rules are registered through ``autodiff.record``.
+Each layer is a kernel whose hand-written backward rule is registered
+through ``autodiff.record``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .autodiff import Variable, _stable_sigmoid, bias_add, concat, matmul, record, relu, reshape
+# concat is re-exported: models joins layer outputs through L.concat.
+from .autodiff import Variable, _stable_sigmoid, concat, record, reshape
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
@@ -467,12 +469,28 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
 
 
 def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
-    """relu(x·W + b) applied independently at every (batch, position)."""
-    d = x.shape[-1]
-    if p.w.shape[0] != d:
-        raise ShapeError(f"dense block expects input width {p.w.shape[0]}, got {d}")
-    y = relu(bias_add(matmul(reshape(x, (x.value.size // d, d)), p.w), p.b))
-    return reshape(y, x.shape[:-1] + (p.w.shape[1],))
+    """relu(x·W + b) applied independently at every (batch, position), as one
+    tape node whose backward is written by hand."""
+    d, width = p.w.shape[0], p.w.shape[1]
+    if x.shape[-1] != d:
+        raise ShapeError(f"dense block expects input width {d}, got {x.shape[-1]}")
+    if p.b.shape != (width,):
+        raise ShapeError(f"dense block bias must be [{width}], got {p.b.shape}")
+    # Captured now, as in the scan kernels: backward credits these Variables.
+    w, b = p.w, p.b
+    rows = x.value.reshape(-1, d)
+    y = rows @ w.value
+    y += b.value
+    np.maximum(y, 0.0, out=y)
+
+    def bw(g: np.ndarray) -> None:
+        # Subgradient of the relu at exactly 0 is 0.
+        da = g.reshape(y.shape) * (y > 0.0)
+        w.ensure_grad()[...] += rows.T @ da
+        b.ensure_grad()[...] += da.sum(axis=0)
+        x.ensure_grad()[...] += (da @ w.value.T).reshape(x.shape)
+
+    return record("dense_relu_positions", Variable(y.reshape(x.shape[:-1] + (width,))), bw)
 
 
 def _max_over_time(maps: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -611,24 +629,45 @@ def mean_over_time(x: Variable, lengths: np.ndarray) -> Variable:
 # Softmax head
 # ---------------------------------------------------------------------------
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row softmax of [batch, classes] logits, max-shifted so exp cannot overflow."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Jacobian-vector product of the row softmax p: dz = p * (g - <g, p>)."""
+    return p * (g - np.sum(g * p, axis=1, keepdims=True))
+
+
 def softmax_rows(logits: Variable) -> Variable:
     """Row softmax with max-subtraction; rows sum to 1."""
     if logits.value.ndim != 2:
         raise ShapeError(f"softmax expects [batch, classes], got {logits.shape}")
-    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Variable(p)
+    p = _softmax(logits.value)
 
     def bw(g: np.ndarray) -> None:
-        # Jacobian-vector product: dz = p * (g - <g, p>)
-        inner = np.sum(g * p, axis=1, keepdims=True)
-        logits.ensure_grad()[...] += p * (g - inner)
+        logits.ensure_grad()[...] += _softmax_grad(p, g)
 
-    return record("softmax_rows", out, bw)
+    return record("softmax_rows", Variable(p), bw)
 
 
 def dense_softmax(x: Variable, w: Variable, b: Variable) -> Variable:
+    """Class probabilities softmax(x·W + b), [batch, classes], as one tape node."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"classifier needs [batch, d] by [d, classes], got {x.shape} by {w.shape}")
     if w.shape[1] < 2:
         raise ContractError(f"classifier needs at least 2 classes, got {w.shape[1]}")
-    return softmax_rows(bias_add(matmul(x, w), b))
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"classifier bias must be [{w.shape[1]}], got {b.shape}")
+    z = x.value @ w.value
+    z += b.value
+    p = _softmax(z)
+
+    def bw(g: np.ndarray) -> None:
+        dz = _softmax_grad(p, g)
+        w.ensure_grad()[...] += x.value.T @ dz
+        b.ensure_grad()[...] += dz.sum(axis=0)
+        x.ensure_grad()[...] += dz @ w.value.T
+
+    return record("dense_softmax", Variable(p), bw)

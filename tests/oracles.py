@@ -3,19 +3,59 @@
 The forward oracles are written with plain numpy loops and explicit
 arithmetic, deliberately avoiding the package's layers and autodiff
 machinery. The taped graphs at the end are the exception: they build each
-cell step, each convolution position, or the highway block from autodiff
-primitives, so their gradients come from the primitives' backward rules and
-check the fused kernels' hand-written backward passes. The primitives that
-the package itself no longer calls are defined first, for these graphs and
-the engine tests.
+cell step, each convolution position, the highway block, the MLP block or
+the softmax head from autodiff primitives, so their gradients come from the
+primitives' backward rules and check the fused kernels' hand-written
+backward passes. The primitives are defined first, for these graphs and the
+engine tests; the package itself records only kernels, besides ``concat``
+and ``reshape``.
 """
 
 import numpy as np
 
-from rcnnlab.autodiff import (
-    Variable, _same_shape, bias_add, concat, matmul, mul, record, relu, reshape, sigmoid,
-)
+from rcnnlab.autodiff import Variable, _stable_sigmoid, concat, record, reshape
 from rcnnlab.errors import ContractError, ShapeError
+from rcnnlab.layers import softmax_rows
+
+
+def matmul(a, b):
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs [m,k] by [k,n], got {a.shape} by {b.shape}")
+    out = Variable(a.value @ b.value)
+
+    def bw(g):
+        # dA = dC·Bᵀ, dB = Aᵀ·dC
+        a.ensure_grad()[...] += g @ b.value.T
+        b.ensure_grad()[...] += a.value.T @ g
+
+    return record("matmul", out, bw)
+
+
+def _same_shape(a, b, op):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} needs identical shapes, got {a.shape} and {b.shape}")
+
+
+def add(a, b):
+    _same_shape(a, b, "add")
+    out = Variable(a.value + b.value)
+
+    def bw(g):
+        a.ensure_grad()[...] += g
+        b.ensure_grad()[...] += g
+
+    return record("add", out, bw)
+
+
+def mul(a, b):
+    _same_shape(a, b, "mul")
+    out = Variable(a.value * b.value)
+
+    def bw(g):
+        a.ensure_grad()[...] += g * b.value
+        b.ensure_grad()[...] += g * a.value
+
+    return record("mul", out, bw)
 
 
 def sub(a, b):
@@ -46,6 +86,48 @@ def tanh(a):
         a.ensure_grad()[...] += g * (1.0 - t * t)
 
     return record("tanh", out, bw)
+
+
+def sigmoid(a):
+    s = _stable_sigmoid(a.value)
+    out = Variable(s)
+
+    def bw(g):
+        a.ensure_grad()[...] += g * s * (1.0 - s)
+
+    return record("sigmoid", out, bw)
+
+
+def relu(a):
+    out = Variable(np.maximum(a.value, 0.0))
+
+    def bw(g):
+        # Subgradient at exactly 0 is 0.
+        a.ensure_grad()[...] += g * (a.value > 0.0)
+
+    return record("relu", out, bw)
+
+
+def bias_add(x, b):
+    """Add a rank-1 bias over the trailing axis, broadcast over leading axes."""
+    if b.value.ndim != 1 or x.value.ndim < 1 or x.shape[-1] != b.shape[0]:
+        raise ShapeError(f"bias_add needs [..., d] plus [d], got {x.shape} and {b.shape}")
+    out = Variable(x.value + b.value)
+
+    def bw(g):
+        x.ensure_grad()[...] += g
+        b.ensure_grad()[...] += g.reshape(-1, b.shape[0]).sum(axis=0)
+
+    return record("bias_add", out, bw)
+
+
+def sum_all(x):
+    out = Variable(np.sum(x.value))
+
+    def bw(g):
+        x.ensure_grad()[...] += g
+
+    return record("sum_all", out, bw)
 
 
 def slice_axis(x, axis, start, stop):
@@ -136,19 +218,19 @@ def tiny_forward_oracle(params: dict, ids: np.ndarray, hidden: int = 1) -> np.nd
 
 
 def taped_gru_step(x_t, h_prev, p):
-    r = sigmoid(bias_add(matmul(x_t, p.w_r) + matmul(h_prev, p.u_r), p.b_r))
-    z = sigmoid(bias_add(matmul(x_t, p.w_z) + matmul(h_prev, p.u_z), p.b_z))
-    cand = tanh(bias_add(matmul(x_t, p.w_h) + matmul(mul(r, h_prev), p.u_h), p.b_h))
-    return mul(z, h_prev) + mul(one_minus(z), cand)
+    r = sigmoid(bias_add(add(matmul(x_t, p.w_r), matmul(h_prev, p.u_r)), p.b_r))
+    z = sigmoid(bias_add(add(matmul(x_t, p.w_z), matmul(h_prev, p.u_z)), p.b_z))
+    cand = tanh(bias_add(add(matmul(x_t, p.w_h), matmul(mul(r, h_prev), p.u_h)), p.b_h))
+    return add(mul(z, h_prev), mul(one_minus(z), cand))
 
 
 def taped_lstm_step(x_t, state_prev, p):
     h_prev, c_prev = state_prev
-    i = sigmoid(bias_add(matmul(x_t, p.w_i) + matmul(h_prev, p.u_i), p.b_i))
-    f = sigmoid(bias_add(matmul(x_t, p.w_f) + matmul(h_prev, p.u_f), p.b_f))
-    o = sigmoid(bias_add(matmul(x_t, p.w_o) + matmul(h_prev, p.u_o), p.b_o))
-    cand = tanh(bias_add(matmul(x_t, p.w_c) + matmul(h_prev, p.u_c), p.b_c))
-    c_t = mul(f, c_prev) + mul(i, cand)
+    i = sigmoid(bias_add(add(matmul(x_t, p.w_i), matmul(h_prev, p.u_i)), p.b_i))
+    f = sigmoid(bias_add(add(matmul(x_t, p.w_f), matmul(h_prev, p.u_f)), p.b_f))
+    o = sigmoid(bias_add(add(matmul(x_t, p.w_o), matmul(h_prev, p.u_o)), p.b_o))
+    cand = tanh(bias_add(add(matmul(x_t, p.w_c), matmul(h_prev, p.u_c)), p.b_c))
+    c_t = add(mul(f, c_prev), mul(i, cand))
     return mul(o, tanh(c_t)), c_t
 
 
@@ -228,5 +310,17 @@ def taped_highway(x_tilde, p):
     flat = reshape(x_tilde, (x_tilde.value.size // d, d))
     gate = sigmoid(bias_add(matmul(flat, p.w_t), p.b_t))
     transformed = relu(bias_add(matmul(flat, p.w_h), p.b_h))
-    y = mul(gate, transformed) + mul(one_minus(gate), flat)
+    y = add(mul(gate, transformed), mul(one_minus(gate), flat))
     return reshape(y, x_tilde.shape)
+
+
+def taped_dense_relu(x, p):
+    """The MLP block as five primitive nodes: relu(x·W + b) at every position."""
+    d = x.shape[-1]
+    y = relu(bias_add(matmul(reshape(x, (x.value.size // d, d)), p.w), p.b))
+    return reshape(y, x.shape[:-1] + (p.w.shape[1],))
+
+
+def taped_dense_softmax(x, w, b):
+    """The softmax head as three nodes: matmul, bias_add and the row softmax."""
+    return softmax_rows(bias_add(matmul(x, w), b))

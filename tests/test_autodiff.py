@@ -1,6 +1,7 @@
 """Tests for the tensor engine: forward values, backward rules, the checker,
 and the allocator setting made at import."""
 
+import ast
 import os
 import platform
 import subprocess
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import max_over_axis, one_minus, slice_axis, sub, tanh
+from oracles import (
+    add, bias_add, matmul, max_over_axis, mul, one_minus, relu, sigmoid, slice_axis, sub, sum_all, tanh,
+)
 
 from rcnnlab import autodiff as ad
 from rcnnlab.autodiff import Tape, Variable
@@ -35,30 +38,30 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(Variable([[1.0, 0.0], [0.0, 1.0]]), Variable([[3.0], [4.0]]))
+        out = matmul(Variable([[1.0, 0.0], [0.0, 1.0]]), Variable([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.value, [[3.0], [4.0]])
 
     def test_row_times_column(self):
-        out = ad.matmul(Variable([[1.0, 2.0]]), Variable([[3.0], [4.0]]))
+        out = matmul(Variable([[1.0, 2.0]]), Variable([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.value, [[11.0]])
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(-2, 2, (3, 4))
         b = rng.uniform(-2, 2, (4, 2))
-        out = ad.matmul(Variable(a), Variable(b))
+        out = matmul(Variable(a), Variable(b))
         np.testing.assert_allclose(out.value, matmul_oracle(a, b), atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Variable(np.zeros((2, 3))), Variable(np.zeros((2, 3))))
+            matmul(Variable(np.zeros((2, 3))), Variable(np.zeros((2, 3))))
 
     def test_backward_rule(self):
         rng = np.random.default_rng(1)
         a = Variable(rng.uniform(-1, 1, (3, 4)))
         b = Variable(rng.uniform(-1, 1, (4, 2)))
         with Tape() as tape:
-            loss = ad.sum_all(ad.matmul(a, b))
+            loss = sum_all(matmul(a, b))
         ad.backward(tape, loss)
         g = np.ones((3, 2))
         np.testing.assert_allclose(a.grad, g @ b.value.T, atol=1e-12)
@@ -67,10 +70,10 @@ class TestMatmul:
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Variable(np.zeros(3))).value == pytest.approx([0.5] * 3)
+        assert sigmoid(Variable(np.zeros(3))).value == pytest.approx([0.5] * 3)
 
     def test_sigmoid_saturates_without_overflow(self):
-        v = ad.sigmoid(Variable(np.array([-1000.0, 1000.0]))).value
+        v = sigmoid(Variable(np.array([-1000.0, 1000.0]))).value
         np.testing.assert_allclose(v, [0.0, 1.0])
 
     def test_sigmoid_extremes_raise_no_floating_point_warning(self):
@@ -96,26 +99,26 @@ class TestElementwise:
         assert tanh(Variable(np.zeros(2))).value == pytest.approx([0.0, 0.0])
 
     def test_relu_definition(self):
-        v = ad.relu(Variable(np.array([-2.5, 0.0, 3.1]))).value
+        v = relu(Variable(np.array([-2.5, 0.0, 3.1]))).value
         np.testing.assert_array_equal(v, [0.0, 0.0, 3.1])
 
     def test_relu_gradient_zero_at_zero(self):
         x = Variable(np.array([-2.5, 0.0, 3.1]))
         with Tape() as tape:
-            loss = ad.sum_all(ad.relu(x))
+            loss = sum_all(relu(x))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_one_minus(self):
         x = Variable(np.array([0.25, 1.5]))
         with Tape() as tape:
-            loss = ad.sum_all(one_minus(x))
+            loss = sum_all(one_minus(x))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(loss.value, np.sum([0.75, -0.5]))
         np.testing.assert_array_equal(x.grad, [-1.0, -1.0])
 
     def test_binary_shape_mismatch(self):
-        for op in (ad.add, sub, ad.mul):
+        for op in (add, sub, mul):
             with pytest.raises(ShapeError):
                 op(Variable(np.zeros(2)), Variable(np.zeros(3)))
 
@@ -124,20 +127,20 @@ class TestBiasAdd:
     def test_broadcast_over_batch(self):
         x = Variable(np.zeros((2, 3)))
         b = Variable(np.array([1.0, 2.0, 3.0]))
-        out = ad.bias_add(x, b)
+        out = bias_add(x, b)
         np.testing.assert_array_equal(out.value, [[1, 2, 3], [1, 2, 3]])
 
     def test_bias_gradient_sums_over_batch(self):
         x = Variable(np.zeros((4, 2)))
         b = Variable(np.zeros(2))
         with Tape() as tape:
-            loss = ad.sum_all(ad.bias_add(x, b))
+            loss = sum_all(bias_add(x, b))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(b.grad, [4.0, 4.0])
 
     def test_rejects_wrong_trailing_dim(self):
         with pytest.raises(ShapeError):
-            ad.bias_add(Variable(np.zeros((2, 3))), Variable(np.zeros(2)))
+            bias_add(Variable(np.zeros((2, 3))), Variable(np.zeros(2)))
 
 
 class TestConcat:
@@ -162,7 +165,7 @@ class TestConcat:
         b = Variable(np.zeros((2, 1)))
         with Tape() as tape:
             joined = ad.concat([a, b], axis=1)
-            loss = ad.sum_all(ad.mul(joined, Variable(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
+            loss = sum_all(mul(joined, Variable(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [4.0, 5.0]])
         np.testing.assert_array_equal(b.grad, [[3.0], [6.0]])
@@ -185,14 +188,14 @@ class TestSliceReshape:
     def test_slice_backward_hits_only_slab(self):
         x = Variable(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
-            loss = ad.sum_all(slice_axis(x, 1, 0, 2))
+            loss = sum_all(slice_axis(x, 1, 0, 2))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [[1, 1, 0], [1, 1, 0]])
 
     def test_reshape_round_trip_gradient(self):
         x = Variable(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
-            loss = ad.sum_all(ad.reshape(ad.reshape(x, (6,)), (3, 2)))
+            loss = sum_all(ad.reshape(ad.reshape(x, (6,)), (3, 2)))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -216,7 +219,7 @@ class TestMaxOverAxis:
         x = Variable(np.array([1.0, 3.0, 2.0]))
         with Tape() as tape:
             out, _ = max_over_axis(x, axis=0)
-            loss = ad.sum_all(out)
+            loss = sum_all(out)
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
@@ -225,7 +228,7 @@ class TestMaxOverAxis:
         x = Variable(rng.normal(size=(4, 5, 3)))
         with Tape() as tape:
             out, _ = max_over_axis(x, axis=1)
-            loss = ad.sum_all(out)
+            loss = sum_all(out)
         ad.backward(tape, loss)
         nonzero_per_slice = (x.grad != 0).sum(axis=1)
         np.testing.assert_array_equal(nonzero_per_slice, np.ones((4, 3)))
@@ -239,28 +242,28 @@ class TestBackward:
     def test_scalar_passthrough(self):
         x = Variable(np.array(2.0))
         with Tape() as tape:
-            loss = ad.sum_all(x)
+            loss = sum_all(x)
         ad.backward(tape, loss)
         assert x.grad == 1.0
 
     def test_square_gradient(self):
         x = Variable(np.array([1.0, 2.0, 3.0]))
         with Tape() as tape:
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = sum_all(mul(x, x))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_accumulation_across_reuse(self):
         x = Variable(np.array(5.0))
         with Tape() as tape:
-            loss = ad.add(x, x)
+            loss = add(x, x)
         ad.backward(tape, loss)
         assert x.grad == 2.0
 
     def test_non_scalar_loss_rejected(self):
         x = Variable(np.zeros(3))
         with Tape() as tape:
-            y = ad.relu(x)
+            y = relu(x)
         with pytest.raises(ContractError):
             ad.backward(tape, y)
 
@@ -268,14 +271,14 @@ class TestBackward:
         tape = Tape()
         with tape:
             pass
-        ad.add(Variable(np.zeros(2)), Variable(np.zeros(2)))
+        add(Variable(np.zeros(2)), Variable(np.zeros(2)))
         assert len(tape) == 0
 
 
 class TestFiniteDiffCheck:
     def test_sum_of_squares(self):
         def f(v):
-            return ad.sum_all(ad.mul(v, v))
+            return sum_all(mul(v, v))
 
         err = ad.finite_diff_check(f, np.array([1.0, 2.0]))
         assert err <= 1e-7
@@ -284,7 +287,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(4)
 
         def f(v):
-            return ad.sum_all(ad.sigmoid(v))
+            return sum_all(sigmoid(v))
 
         err = ad.finite_diff_check(f, rng.uniform(-2, 2, 6))
         assert err <= 1e-6
@@ -299,7 +302,7 @@ class TestFiniteDiffCheck:
             return ad.record("buggy_exp", out, bw)
 
         def f(v):
-            return ad.sum_all(buggy_exp(v))
+            return sum_all(buggy_exp(v))
 
         err = ad.finite_diff_check(f, np.array([0.3, -0.7]))
         assert err > 1e-2
@@ -321,7 +324,7 @@ class TestFiniteDiffCheck:
         def f(v):
             assert v is held
             seen.append(float(v.value[1, 1]))
-            return ad.sum_all(ad.mul(v, v))
+            return sum_all(mul(v, v))
 
         assert ad.finite_diff_check(f, held) <= 1e-7
         assert held.value.tobytes() == before
@@ -342,7 +345,7 @@ class TestFiniteDiffCheck:
         def raising(v):
             if v.value[2] < 3.0:
                 raise FloatingPointError("loss undefined below x = 3")
-            return ad.sum_all(v)
+            return sum_all(v)
 
         with pytest.raises(FloatingPointError):
             ad.finite_diff_check(raising, held)
@@ -350,19 +353,19 @@ class TestFiniteDiffCheck:
 
 
 OPS_FOR_RANDOM_CHECK = [
-    ("matmul", lambda v, aux: ad.sum_all(ad.matmul(v, Variable(aux[:v.shape[1] * 2].reshape(v.shape[1], 2))))),
-    ("add", lambda v, aux: ad.sum_all(ad.mul(ad.add(v, Variable(aux[:v.value.size].reshape(v.shape))), Variable(aux[:v.value.size].reshape(v.shape))))),
-    ("sub", lambda v, aux: ad.sum_all(ad.mul(sub(v, Variable(aux[:v.value.size].reshape(v.shape))), Variable(aux[:v.value.size].reshape(v.shape))))),
-    ("mul", lambda v, aux: ad.sum_all(ad.mul(v, v))),
-    ("one_minus", lambda v, aux: ad.sum_all(ad.mul(one_minus(v), one_minus(v)))),
-    ("sigmoid", lambda v, aux: ad.sum_all(ad.sigmoid(v))),
-    ("tanh", lambda v, aux: ad.sum_all(tanh(v))),
-    ("relu", lambda v, aux: ad.sum_all(ad.relu(v))),
-    ("bias_add", lambda v, aux: ad.sum_all(ad.sigmoid(ad.bias_add(v, Variable(aux[:v.shape[-1]]))))),
-    ("concat", lambda v, aux: ad.sum_all(ad.sigmoid(ad.concat([v, Variable(aux[:v.value.size].reshape(v.shape))], axis=1)))),
-    ("slice", lambda v, aux: ad.sum_all(tanh(slice_axis(v, 1, 1, 3)))),
-    ("reshape", lambda v, aux: ad.sum_all(ad.sigmoid(ad.reshape(v, (v.value.size,))))),
-    ("max", lambda v, aux: ad.sum_all(max_over_axis(v, 1)[0])),
+    ("matmul", lambda v, aux: sum_all(matmul(v, Variable(aux[:v.shape[1] * 2].reshape(v.shape[1], 2))))),
+    ("add", lambda v, aux: sum_all(mul(add(v, Variable(aux[:v.value.size].reshape(v.shape))), Variable(aux[:v.value.size].reshape(v.shape))))),
+    ("sub", lambda v, aux: sum_all(mul(sub(v, Variable(aux[:v.value.size].reshape(v.shape))), Variable(aux[:v.value.size].reshape(v.shape))))),
+    ("mul", lambda v, aux: sum_all(mul(v, v))),
+    ("one_minus", lambda v, aux: sum_all(mul(one_minus(v), one_minus(v)))),
+    ("sigmoid", lambda v, aux: sum_all(sigmoid(v))),
+    ("tanh", lambda v, aux: sum_all(tanh(v))),
+    ("relu", lambda v, aux: sum_all(relu(v))),
+    ("bias_add", lambda v, aux: sum_all(sigmoid(bias_add(v, Variable(aux[:v.shape[-1]]))))),
+    ("concat", lambda v, aux: sum_all(sigmoid(ad.concat([v, Variable(aux[:v.value.size].reshape(v.shape))], axis=1)))),
+    ("slice", lambda v, aux: sum_all(tanh(slice_axis(v, 1, 1, 3)))),
+    ("reshape", lambda v, aux: sum_all(sigmoid(ad.reshape(v, (v.value.size,))))),
+    ("max", lambda v, aux: sum_all(max_over_axis(v, 1)[0])),
 ]
 
 
@@ -384,10 +387,26 @@ def test_forward_ops_deterministic():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 6))
     b = rng.normal(size=(6, 3))
-    first = ad.matmul(Variable(a), Variable(b)).value
-    second = ad.matmul(Variable(a.copy()), Variable(b.copy())).value
+    first = matmul(Variable(a), Variable(b)).value
+    second = matmul(Variable(a.copy()), Variable(b.copy())).value
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(ad.sigmoid(Variable(a)).value, ad.sigmoid(Variable(a)).value)
+    np.testing.assert_array_equal(sigmoid(Variable(a)).value, sigmoid(Variable(a)).value)
+
+
+PRIMITIVE_ALGEBRA = ("matmul", "add", "mul", "_same_shape", "sigmoid", "relu", "bias_add", "sum_all")
+
+
+def test_primitive_algebra_stays_out_of_the_package():
+    """The package records only kernels, plus concat and reshape: autodiff
+    defines none of the primitives the oracles keep, Variable has no
+    arithmetic sugar, and no package module imports a primitive."""
+    assert [n for n in PRIMITIVE_ALGEBRA if hasattr(ad, n)] == []
+    assert [m for m in ("__add__", "__mul__", "__matmul__") if hasattr(Variable, m)] == []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "autodiff":
+                imported = {alias.name for alias in node.names}
+                assert not imported & set(PRIMITIVE_ALGEBRA), f"{path.name} imports {imported & set(PRIMITIVE_ALGEBRA)}"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator is tuned on glibc only")

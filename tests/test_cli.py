@@ -271,7 +271,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--scope", "layer"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if "max_rel_error" in l]
-        assert len(lines) == 16
+        assert len(lines) == 17
         assert lines[0].startswith("embed")
         assert all("PASS" in l for l in lines)
 
