@@ -12,6 +12,14 @@ and records one node whose backward rule is written by hand (``record``);
 the engine itself adds only ``concat`` and ``reshape``. There is no implicit
 broadcasting: each kernel checks its operands' shapes and broadcasts a bias
 only over the leading axes that its backward sums.
+
+A gradient may carry a row hint, ``grad_rows``: the sorted indices of the
+first axis outside which ``grad`` is exactly +0.0, or ``None`` when any row
+may be nonzero. Only the embedding lookup's backward sets it, so the
+RMSprop and Adadelta steps update only the table rows a batch used.
+``ensure_grad`` and ``zero_grad`` clear it, so any other op that adds into
+the gradient makes it dense again and no stale hint survives. Scaling
+``grad`` in place keeps it valid.
 """
 
 from __future__ import annotations
@@ -61,11 +69,12 @@ def _active_tape() -> "Tape | None":
 class Variable:
     """A float64 tensor paired with a lazily allocated gradient buffer."""
 
-    __slots__ = ("value", "grad", "node_id")
+    __slots__ = ("value", "grad", "grad_rows", "node_id")
 
     def __init__(self, value, node_id: int | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.grad_rows: np.ndarray | None = None
         self.node_id = node_id
 
     @property
@@ -73,12 +82,13 @@ class Variable:
         return self.value.shape
 
     def ensure_grad(self) -> np.ndarray:
+        self.grad_rows = None
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         return self.grad
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.grad = self.grad_rows = None
 
     def __repr__(self) -> str:
         return f"Variable(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -111,7 +112,7 @@ def encode(text: str, vocab: Vocabulary, seq_len: int) -> tuple[np.ndarray, int]
         return ids, 1
     kept = tokens[:seq_len]
     ids = np.full(seq_len, PAD_ID, dtype=np.int64)
-    ids[: len(kept)] = [vocab.id_of(t) for t in kept]
+    ids[: len(kept)] = np.fromiter(map(vocab.token_to_id.get, kept, repeat(UNK_ID)), np.int64, len(kept))
     return ids, len(kept)
 
 

@@ -142,7 +142,8 @@ class DenseParams(_Params):
 # ---------------------------------------------------------------------------
 
 def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
-    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order."""
+    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order,
+    hinted with those rows (``Variable.grad_rows``)."""
     vocab_size = table.shape[0]
     bad = (ids < 0) | (ids >= vocab_size)
     if bad.any():
@@ -153,7 +154,13 @@ def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
     def bw(g: np.ndarray) -> None:
         cells = (ids.reshape(-1, 1) * table.shape[1] + np.arange(table.shape[1])).reshape(-1)
         dt = np.bincount(cells, weights=g.reshape(-1), minlength=table.value.size).reshape(table.shape)
-        table.grad = dt if table.grad is None else np.add(table.grad, dt, out=table.grad)
+        rows = np.flatnonzero(np.bincount(ids.reshape(-1), minlength=vocab_size))
+        if table.grad is None:
+            table.grad, table.grad_rows = dt, rows
+        else:
+            np.add(table.grad, dt, out=table.grad)
+            if table.grad_rows is not None:
+                table.grad_rows = np.union1d(table.grad_rows, rows)
 
     return record("embedding_lookup", out, bw)
 
@@ -638,18 +645,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Jacobian-vector product of the row softmax p: dz = p * (g - <g, p>)."""
     return p * (g - np.sum(g * p, axis=1, keepdims=True))
-
-
-def softmax_rows(logits: Variable) -> Variable:
-    """Row softmax with max-subtraction; rows sum to 1."""
-    if logits.value.ndim != 2:
-        raise ShapeError(f"softmax expects [batch, classes], got {logits.shape}")
-    p = _softmax(logits.value)
-
-    def bw(g: np.ndarray) -> None:
-        logits.ensure_grad()[...] += _softmax_grad(p, g)
-
-    return record("softmax_rows", Variable(p), bw)
 
 
 def dense_softmax(x: Variable, w: Variable, b: Variable) -> Variable:

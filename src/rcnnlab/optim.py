@@ -3,6 +3,8 @@ offered for training (RMSprop is the default)."""
 
 from __future__ import annotations
 
+from types import EllipsisType
+
 import numpy as np
 
 from .autodiff import Variable, record
@@ -63,13 +65,25 @@ class _Optimizer:
     def _grad(self, p: Variable) -> np.ndarray:
         return p.grad if p.grad is not None else np.zeros_like(p.value)
 
+    def _rows(self, p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
+        """``p``'s gradient gathered on the rows it may be nonzero on, and
+        those rows (``...`` for all of them)."""
+        rows = ... if p.grad_rows is None else p.grad_rows
+        return self._grad(p)[rows], rows
+
     def zero_grads(self) -> None:
         for p in self.params:
             p.zero_grad()
 
 
 class RmsProp(_Optimizer):
-    """cache <- rho*cache + (1-rho)*g^2;  p <- p - lr*g/(sqrt(cache)+eps)."""
+    """cache <- rho*cache + (1-rho)*g^2;  p <- p - lr*g/(sqrt(cache)+eps).
+
+    The decay runs over the whole cache; the rest runs only on the rows the
+    gradient may be nonzero on (``Variable.grad_rows``). That is bit-identical
+    to the dense update: on a zero-gradient row it computes rho*c + 0.0 with
+    c >= 0 and p - 0.0, which leave the bits as they are.
+    """
 
     def __init__(self, params, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(params)
@@ -78,16 +92,19 @@ class RmsProp(_Optimizer):
 
     def step(self) -> None:
         for p, cache in zip(self.params, self.cache):
-            g = self._grad(p)
+            g, rows = self._rows(p)
             cache *= self.rho
-            cache += (1.0 - self.rho) * g * g
-            p.value -= self.lr * g / (np.sqrt(cache) + self.eps)
+            cache[rows] += (1.0 - self.rho) * g * g
+            p.value[rows] -= self.lr * g / (np.sqrt(cache[rows]) + self.eps)
 
 
 class Adam(_Optimizer):
     """Bias-corrected first/second moments:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+
+    The update stays dense: it moves every row whose first moment is
+    nonzero, not only the rows the gradient touched.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -115,6 +132,10 @@ class Adadelta(_Optimizer):
     ag <- rho*ag + (1-rho)*g^2
     delta = -sqrt(ad + eps)/sqrt(ag + eps) * g
     ad <- rho*ad + (1-rho)*delta^2;  p <- p + lr*delta
+
+    As in :class:`RmsProp`, the decays run over the whole accumulators and the
+    rest only on the gradient's rows. On a zero-gradient row delta is -0.0,
+    and rho*a + 0.0 and p + (-0.0) leave the bits as they are.
     """
 
     def __init__(self, params, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6):
@@ -125,13 +146,13 @@ class Adadelta(_Optimizer):
 
     def step(self) -> None:
         for p, ag, ad in zip(self.params, self.acc_grad, self.acc_delta):
-            g = self._grad(p)
+            g, rows = self._rows(p)
             ag *= self.rho
-            ag += (1.0 - self.rho) * g * g
-            delta = -np.sqrt(ad + self.eps) / np.sqrt(ag + self.eps) * g
+            ag[rows] += (1.0 - self.rho) * g * g
+            delta = -np.sqrt(ad[rows] + self.eps) / np.sqrt(ag[rows] + self.eps) * g
             ad *= self.rho
-            ad += (1.0 - self.rho) * delta * delta
-            p.value += self.lr * delta
+            ad[rows] += (1.0 - self.rho) * delta * delta
+            p.value[rows] += self.lr * delta
 
 
 OPTIMIZERS = {"rmsprop": RmsProp, "adam": Adam, "adadelta": Adadelta}

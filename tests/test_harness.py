@@ -24,6 +24,7 @@ from rcnnlab.harness import (
     write_rows,
 )
 from rcnnlab.models import ModelSpec, build_model, count_params, resolve_model
+from rcnnlab.optim import OPTIMIZERS
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,36 @@ class TestTrain:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericError, match="epoch 0"):
                 train(cfg, train_set, val_set, vocab)
+
+    @pytest.mark.parametrize("optimizer", ["rmsprop", "adadelta"])
+    def test_row_hinted_steps_train_bit_identically_to_dense_steps(self, optimizer, monkeypatch):
+        """With a vocabulary several times one batch's 384 tokens, each step's
+        embedding gradient is hinted with a strict subset of the table's rows;
+        clearing every hint before the step changes no bit of the result."""
+        ds = gen_keyword_task(240, vocab_size=2000, seq_len=12, seed=54)
+        vocab = build_vocab(ds, min_freq=1)
+        train_set, val_set = split_train_val(ds, 0.15)
+        cls = OPTIMIZERS[optimizer]
+        hinted_rows = []
+        runs = []
+        for dense in (False, True):
+            def step(self, original=cls.step, dense=dense):
+                for p in self.params:
+                    if dense:
+                        p.ensure_grad()
+                    elif p.grad_rows is not None:
+                        hinted_rows.append(len(p.grad_rows))
+                original(self)
+
+            monkeypatch.setattr(cls, "step", step)
+            config = tiny_config("cow", vocab_size=len(vocab), optimizer=optimizer)
+            runs.append(train(config, train_set, val_set, vocab))
+            monkeypatch.undo()
+        assert hinted_rows and max(hinted_rows) < len(vocab) / 3
+        (hinted, hinted_report), (dense, dense_report) = runs
+        assert json.dumps(hinted_report.deterministic_dict()) == json.dumps(dense_report.deterministic_dict())
+        for name, p in hinted.params.items():
+            np.testing.assert_array_equal(p.value.view(np.uint64), dense.params[name].value.view(np.uint64))
 
 
 class TestEvaluate:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    add, conv_oracle, mul, sigmoid, sum_all, taped_birnn_context, taped_conv, taped_conv_pool, taped_dense_relu,
-    taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step,
+    add, conv_oracle, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv, taped_conv_pool,
+    taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step,
 )
 
 from rcnnlab import checks
@@ -48,7 +48,8 @@ class TestEmbedding:
     def test_gradient_matches_add_at_bit_for_bit(self, ids_shape, vocab, width):
         """Repeated ids add in np.add.at's order, and a -0.0 upstream entry
         leaves the same +0.0 bits, so the scatter is bit-identical to
-        np.add.at into a zero table."""
+        np.add.at into a zero table: +0.0 outside the hinted rows, which are
+        the ids looked up."""
         rng = np.random.default_rng(vocab)
         ids = rng.integers(0, vocab, ids_shape)
         ids[0, :2] = 1  # at least one repeated id
@@ -61,6 +62,39 @@ class TestEmbedding:
         expected = np.zeros((vocab, width))
         np.add.at(expected, ids.reshape(-1), g.reshape(-1, width))
         np.testing.assert_array_equal(table.grad.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(table.grad_rows, np.unique(ids))
+
+    def test_lookups_of_one_table_union_their_row_hints(self):
+        table = Variable(np.ones((6, 2)))
+        with Tape() as tape:
+            loss = add(sum_all(L.embedding_lookup(table, np.array([[3, 1]]))),
+                       sum_all(L.embedding_lookup(table, np.array([[4, 3]]))))
+        backward(tape, loss)
+        np.testing.assert_array_equal(table.grad_rows, [1, 3, 4])
+
+    @pytest.mark.parametrize("lookup_first", [True, False])
+    def test_second_consumer_clears_the_row_hint(self, lookup_first):
+        """Any other op that adds into the table's gradient makes it dense,
+        whichever of the two backward rules runs first."""
+        table = Variable(np.ones((6, 2)))
+        with Tape() as tape:
+            if lookup_first:
+                looked_up, whole = sum_all(L.embedding_lookup(table, np.array([[3, 1]]))), sum_all(table)
+            else:
+                whole, looked_up = sum_all(table), sum_all(L.embedding_lookup(table, np.array([[3, 1]])))
+            loss = add(looked_up, whole)
+        backward(tape, loss)
+        assert table.grad_rows is None
+        np.testing.assert_array_equal(table.grad, [[1, 1], [2, 2], [1, 1], [2, 2], [1, 1], [1, 1]])
+
+    def test_zero_grad_clears_the_row_hint(self):
+        table = Variable(np.ones((6, 2)))
+        with Tape() as tape:
+            loss = sum_all(L.embedding_lookup(table, np.array([[3, 1]])))
+        backward(tape, loss)
+        np.testing.assert_array_equal(table.grad_rows, [1, 3])
+        table.zero_grad()
+        assert table.grad is None and table.grad_rows is None
 
     def test_output_shape(self):
         params = L.EmbeddingParams.create(np.random.default_rng(0), 200, 50)
@@ -725,18 +759,18 @@ class TestMaskedReductions:
 
 class TestDenseSoftmax:
     def test_symmetric_logits(self):
-        probs = L.softmax_rows(Variable(np.zeros((1, 2))))
+        probs = softmax_rows(Variable(np.zeros((1, 2))))
         np.testing.assert_array_equal(probs.value, [[0.5, 0.5]])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
         logits = rng.normal(size=(4, 3))
-        a = L.softmax_rows(Variable(logits)).value
-        b = L.softmax_rows(Variable(logits + 100.0)).value
+        a = softmax_rows(Variable(logits)).value
+        b = softmax_rows(Variable(logits + 100.0)).value
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_saturation(self):
-        probs = L.softmax_rows(Variable(np.array([[30.0, 0.0]]))).value
+        probs = softmax_rows(Variable(np.array([[30.0, 0.0]]))).value
         assert probs[0, 0] >= 1.0 - 1e-12
 
     def test_rows_sum_to_one(self):

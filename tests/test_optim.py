@@ -136,12 +136,55 @@ class TestAdadelta:
         assert p.value[0] == pytest.approx(1.0 + expected_delta, abs=1e-15)
         assert p.value[0] == pytest.approx(1.0 - 4.4720912343e-3, abs=1e-12)
 
+    def test_second_step_reads_the_update_accumulator_before_its_decay(self):
+        rho, eps = 0.95, 1e-6
+        p = Variable(np.array([1.0]))
+        opt = Adadelta([p], lr=1.0, rho=rho, eps=eps)
+        expected, ag, ad = 1.0, 0.0, 0.0
+        for g in (1.0, 2.0):
+            p.grad = np.array([g])
+            opt.step()
+            ag = rho * ag + (1 - rho) * g * g
+            delta = -math.sqrt(ad + eps) / math.sqrt(ag + eps) * g
+            ad = rho * ad + (1 - rho) * delta * delta
+            expected += delta
+        assert p.value[0] == pytest.approx(expected, abs=1e-15)
+
     def test_zero_gradient_no_change(self):
         p = Variable(np.array([-0.3]))
         opt = Adadelta([p])
         p.grad = np.zeros(1)
         opt.step()
         np.testing.assert_array_equal(p.value, [-0.3])
+
+
+class TestRowHint:
+    @pytest.mark.parametrize("cls,state", [(RmsProp, ("cache",)), (Adadelta, ("acc_grad", "acc_delta"))])
+    def test_hinted_steps_match_dense_steps_bit_for_bit(self, cls, state):
+        """Steps that update only the hinted rows leave the same parameter and
+        state bits as dense steps, -0.0 entries and zero-gradient hinted rows included."""
+        rng = np.random.default_rng(90)
+        value = rng.normal(size=(12, 3))
+        value[[0, 5, 9], 1] = -0.0
+        value[11] = -0.0  # a row no step hints
+        hinted, dense = Variable(value.copy()), Variable(value.copy())
+        opts = cls([hinted]), cls([dense])
+        for _ in range(6):
+            rows = np.sort(rng.choice(11, 4, replace=False))
+            g = np.zeros_like(value)
+            g[rows] = rng.normal(size=(4, 3))
+            g[rows[0]] = 0.0
+            for p in (hinted, dense):
+                p.grad, p.grad_rows = g.copy(), rows
+            dense.ensure_grad()
+            assert dense.grad_rows is None
+            for opt in opts:
+                opt.step()
+            np.testing.assert_array_equal(hinted.value.view(np.uint64), dense.value.view(np.uint64))
+            for name in state:
+                np.testing.assert_array_equal(getattr(opts[0], name)[0].view(np.uint64),
+                                              getattr(opts[1], name)[0].view(np.uint64))
+        assert not hinted.value[11].any() and np.signbit(hinted.value[11]).all()
 
 
 class TestClip:
