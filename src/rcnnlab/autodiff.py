@@ -15,7 +15,7 @@ only over the leading axes that its backward sums.
 
 A gradient may carry a row hint, ``grad_rows``: the sorted indices of the
 first axis outside which ``grad`` is exactly +0.0, or ``None`` when any row
-may be nonzero. Only the embedding lookup's backward sets it, so the
+may be nonzero. Only the embedding's backward sets it, pooled or not, so the
 RMSprop and Adadelta steps update only the table rows a batch used.
 ``ensure_grad`` and ``zero_grad`` clear it, so any other op that adds into
 the gradient makes it dense again and no stale hint survives. Scaling

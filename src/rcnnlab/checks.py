@@ -112,10 +112,11 @@ def _check(target, rng: np.random.Generator) -> float:
     return _worst(*_redraw(draw, _GRAD_FLOOR))
 
 
-def _embed(rng):
-    ids = np.array([[1, 4, 1], [2, 0, 3]])  # repeated id exercises scatter-add
-    table = Variable(_uniform(rng, 5, 3))
-    return [table], lambda: L.embedding_lookup(table, ids), True
+def _embed(rng, pool: bool = False):
+    """A repeated id exercises the scatter-add; pooled, ids 0 and 3 lie only in padding."""
+    batch = EncodedBatch(ids=np.array([[1, 4, 1], [2, 0, 3]]), lengths=np.array([3, 1]), labels=np.zeros(2))
+    p = L.EmbeddingParams(Variable(_uniform(rng, 5, 3)))
+    return [p.table], lambda: L.embed(batch, p, pool=pool), True
 
 
 def _gru_cell(rng):
@@ -238,6 +239,7 @@ LAYER_TARGETS = [
     ("conv1d_pool_w1", partial(_conv, window=1, pool=True)),
     ("conv1d_pool_w2", partial(_conv, window=2, pool=True)),
     ("dense_relu_positions", _dense_relu),
+    ("embed_pool", partial(_embed, pool=True)),
 ]
 
 

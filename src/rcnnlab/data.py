@@ -8,6 +8,7 @@ seeds. Encoded sequences use a fixed length: longer texts keep their first
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -90,10 +91,9 @@ def build_vocab(train: TextDataset, max_size: int = 20000, min_freq: int = 2) ->
         raise ConfigError(f"minimum token frequency must be >= 1, got {min_freq}")
     if len(train) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text, _label in train.examples:
-        for token in tokenize(text):
-            counts[token] = counts.get(token, 0) + 1
+        counts.update(tokenize(text))
     ranked = sorted(
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),

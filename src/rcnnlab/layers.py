@@ -141,32 +141,62 @@ class DenseParams(_Params):
 # Embedding
 # ---------------------------------------------------------------------------
 
-def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
-    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order,
-    hinted with those rows (``Variable.grad_rows``)."""
-    vocab_size = table.shape[0]
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
     bad = (ids < 0) | (ids >= vocab_size)
     if bad.any():
         pos = tuple(int(v) for v in np.argwhere(bad)[0])
         raise DataError(f"token id {int(ids[pos])} at position {pos} outside vocabulary of size {vocab_size}")
+
+
+def _rows_used(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted U table rows that ``ids`` use, and each id's index into them, with no sort."""
+    used = np.bincount(ids.reshape(-1), minlength=vocab_size) > 0
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
+
+
+def _add_row_sums(table: Variable, rows: np.ndarray, sums: np.ndarray) -> None:
+    """Add [U, D] sums into the table's dense gradient at ``rows`` and union its row hint
+    (``Variable.grad_rows``). A bincount or matmul sum starts at +0.0, so none is -0.0."""
+    if table.grad is None:
+        table.grad, table.grad_rows = np.zeros_like(table.value), rows
+        table.grad[rows] = sums
+        return
+    if table.grad_rows is not None:
+        table.grad_rows = np.union1d(table.grad_rows, rows)
+    table.grad[rows] += sums
+
+
+def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
+    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order:
+    one bincount over the U·D cells of the U rows used."""
+    _check_ids(ids, table.shape[0])
     out = Variable(table.value[ids])
 
     def bw(g: np.ndarray) -> None:
-        cells = (ids.reshape(-1, 1) * table.shape[1] + np.arange(table.shape[1])).reshape(-1)
-        dt = np.bincount(cells, weights=g.reshape(-1), minlength=table.value.size).reshape(table.shape)
-        rows = np.flatnonzero(np.bincount(ids.reshape(-1), minlength=vocab_size))
-        if table.grad is None:
-            table.grad, table.grad_rows = dt, rows
-        else:
-            np.add(table.grad, dt, out=table.grad)
-            if table.grad_rows is not None:
-                table.grad_rows = np.union1d(table.grad_rows, rows)
+        (rows, inverse), width = _rows_used(ids, table.shape[0]), table.shape[1]
+        cells = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size * width)
+        _add_row_sums(table, rows, sums.reshape(rows.size, width))
 
     return record("embedding_lookup", out, bw)
 
 
-def embed(batch: EncodedBatch, params: EmbeddingParams) -> Variable:
-    return embedding_lookup(params.table, batch.ids)
+def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -> Variable:
+    """The batch's embeddings, [B, T, D]; with ``pool``, their sum over each text's first
+    lengths[b] positions, [B, D], as one node: an embedding bag (Joulin et al., arXiv 1607.01759)
+    whose [B, U] counts of the U rows used give the output, counts @ table[rows], and the
+    gradient, counts.T @ g. Neither depends on token order, so neither do the sums, bit for bit."""
+    table, ids = params.table, batch.ids
+    if not pool:
+        return embedding_lookup(table, ids)
+    _check_ids(ids, table.shape[0])
+    batch_size, steps = ids.shape
+    valid = np.arange(steps) < _validate_lengths(batch.lengths, batch_size, steps)[:, None]
+    rows, inverse = _rows_used(ids, table.shape[0])
+    cells = (np.arange(batch_size)[:, None] * rows.size + inverse)[valid]
+    counts = np.bincount(cells, minlength=batch_size * rows.size).reshape(batch_size, -1).astype(np.float64)
+    bag = Variable(counts @ table.value[rows])
+    return record("embedding_bag", bag, lambda g: _add_row_sums(table, rows, counts.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +626,23 @@ def maxpool_over_time(feature_map: Variable) -> Variable:
 # Masked reductions over time
 # ---------------------------------------------------------------------------
 
-def _validate_lengths(x: Variable, lengths: np.ndarray) -> np.ndarray:
-    if x.value.ndim != 3:
-        raise ShapeError(f"time reduction expects [batch, T, d], got {x.shape}")
+def _validate_lengths(lengths: np.ndarray, batch: int, steps: int) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (x.shape[0],):
-        raise ShapeError(f"lengths shape {lengths.shape} does not match batch {x.shape[0]}")
-    if (lengths < 1).any() or (lengths > x.shape[1]).any():
-        raise ContractError(f"lengths must lie in [1, {x.shape[1]}]")
+    if lengths.shape != (batch,):
+        raise ShapeError(f"lengths shape {lengths.shape} does not match batch {batch}")
+    if (lengths < 1).any() or (lengths > steps).any():
+        raise ContractError(f"lengths must lie in [1, {steps}]")
     return lengths
 
 
-def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, weight: np.ndarray) -> Variable:
-    """weight[b] times the sum of the first lengths[b] positions; padding is
-    excluded. Summands are sorted first so the reduction is bit-exactly
-    independent of token order."""
+def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, mean: bool) -> Variable:
+    """The sum, or with ``mean`` the mean, of the first lengths[b] positions;
+    padding is excluded. Summands are sorted first so the reduction is
+    bit-exactly independent of token order."""
+    if x.value.ndim != 3:
+        raise ShapeError(f"time reduction expects [batch, T, d], got {x.shape}")
+    lengths = _validate_lengths(lengths, *x.shape[:2])
+    weight = 1.0 / lengths if mean else np.ones(lengths.shape)
     mask = np.arange(x.shape[1])[None, :, None] < lengths[:, None, None]
     out = Variable(np.sort(np.where(mask, x.value, 0.0), axis=1).sum(axis=1) * weight[:, None])
 
@@ -621,15 +653,15 @@ def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, weight: np.nda
 
 
 def sum_over_time(x: Variable, lengths: np.ndarray) -> Variable:
-    """Sum of the first lengths[b] positions; the weight 1.0 leaves every sum bit-exact."""
-    lengths = _validate_lengths(x, lengths)
-    return _weighted_time_sum("sum_over_time", x, lengths, np.ones(lengths.shape))
+    """Sum of the first lengths[b] positions; the weight 1.0 leaves every sum bit-exact.
+    No model calls it (``cow`` pools in ``embed``). Like ``maxpool_over_time``, it stays:
+    ``bench/tracer.py`` wraps it by name, tests use it as a reference, and gradcheck checks it."""
+    return _weighted_time_sum("sum_over_time", x, lengths, mean=False)
 
 
 def mean_over_time(x: Variable, lengths: np.ndarray) -> Variable:
     """Mean over the TRUE length; positions beyond it are excluded."""
-    lengths = _validate_lengths(x, lengths)
-    return _weighted_time_sum("mean_over_time", x, lengths, 1.0 / lengths.astype(np.float64))
+    return _weighted_time_sum("mean_over_time", x, lengths, mean=True)
 
 
 # ---------------------------------------------------------------------------

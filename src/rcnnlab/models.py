@@ -147,10 +147,11 @@ class Model:
         if batch.seq_len != spec.seq_len:
             raise ContractError(f"batch seq_len {batch.seq_len} does not match model seq_len {spec.seq_len}")
         blocks = self.blocks
-        x = L.embed(batch, blocks["embedding"])
+        # cow's bag of words is the embedding's pooled form: one node, [B, D].
+        x = L.embed(batch, blocks["embedding"], pool=spec.kind == "cow")
 
         if spec.kind == "cow":
-            pooled = L.sum_over_time(x, batch.lengths)
+            pooled = x
         elif spec.kind == "lstm-avg":
             states = L.lstm_scan(x, blocks["lstm"], "forward")
             pooled = L.mean_over_time(states, batch.lengths)

@@ -18,6 +18,7 @@ from rcnnlab import layers as L
 from rcnnlab.autodiff import Variable
 from rcnnlab.cli import main
 from rcnnlab.data import (
+    EncodedBatch,
     build_vocab,
     gen_keyword_task,
     gen_longrange_task,
@@ -59,7 +60,7 @@ class TestCriterion1LayerGradients:
             "embed", "gru_cell_step", "lstm_cell_step", "birnn_context",
             "highway_forward", "conv1d_forward_w1", "conv1d_forward_w2",
             "maxpool_over_time", "dense_softmax", "softmax_cross_entropy",
-            "gru_scan", "lstm_scan", "conv1d_pool_w1", "conv1d_pool_w2",
+            "gru_scan", "lstm_scan", "conv1d_pool_w1", "conv1d_pool_w2", "embed_pool",
         }
         started = time.perf_counter()
         results = checks.run_layer_checks(base_seed=0, seeds=5)
@@ -152,6 +153,24 @@ class TestCriterion3EquationInvariants:
                            lambda v: L.maxpool_over_time(L.conv1d_forward(v, p))):
                 ok = ok and bool(np.array_equal(pooled(Variable(x)).value, pooled(Variable(xp)).value))
         report(3, "conv+pool permutation invariance at [32, 500, 32]", ok, "bit-exact over 3 seeds, both paths")
+
+    def test_embedding_bag_time_permutation_exact_at_cow_shape(self):
+        """The pooled embedding at cow-vocab20k's shape: [32, 200] ids into a
+        20,000×50 table, each text's true positions shuffled on their own."""
+        ok = True
+        for seed in range(3):
+            rng = np.random.default_rng(340 + seed)
+            params = L.EmbeddingParams.create(rng, 20000, 50)
+            ids = rng.integers(0, 20000, (32, 200))
+            lengths = rng.integers(1, 201, 32)
+            lengths[0] = 200
+            shuffled = ids.copy()
+            for b, n in enumerate(lengths):
+                shuffled[b, :n] = ids[b, rng.permutation(n)]
+            a, b = (L.embed(EncodedBatch(x, lengths, np.zeros(32, dtype=np.int64)), params, pool=True).value
+                    for x in (ids, shuffled))
+            ok = ok and bool(np.array_equal(a, b))
+        report(3, "embedding bag permutation invariance at [32, 200] into 20000x50", ok, "bit-exact over 3 seeds")
 
     def test_softmax_rows_sum_to_one(self):
         worst = 0.0

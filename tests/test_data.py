@@ -42,6 +42,16 @@ class TestVocabulary:
         vocab = D.build_vocab(ds, min_freq=1)
         assert vocab.token_to_id == {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3}
 
+    def test_ranking_breaks_frequency_ties_lexicographically_across_texts(self):
+        """Counts add up over every text, and tokens of equal count rank by
+        their text, not by where they first appear; a cap cuts inside a tie."""
+        ds = D.TextDataset([("zeta Beta beta", 0), ("alpha zeta gamma omega", 1),
+                            ("gamma beta alpha delta", 0), ("delta", 1)])
+        vocab = D.build_vocab(ds, min_freq=2)
+        assert vocab.id_to_token == ["<pad>", "<unk>", "beta", "alpha", "delta", "gamma", "zeta"]
+        assert D.build_vocab(ds, max_size=5, min_freq=2).id_to_token == vocab.id_to_token[:5]
+        assert D.build_vocab(ds, min_freq=1).id_to_token[-1] == "omega"
+
     def test_min_freq_drops_rare(self):
         ds = D.TextDataset([("a a b", 1)])
         vocab = D.build_vocab(ds, min_freq=2)

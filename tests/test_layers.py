@@ -107,6 +107,74 @@ class TestEmbedding:
             L.embedding_lookup(table, np.array([[1, 7]]))
 
 
+class TestEmbeddingBag:
+    """``embed(..., pool=True)`` against the lookup and the masked time sum it replaces."""
+
+    def test_one_tape_node_per_call(self):
+        params = L.EmbeddingParams.create(np.random.default_rng(0), 9, 4)
+        with Tape() as tape:
+            out = L.embed(make_batch([[1, 3, 1, 0], [2, 8, 0, 0]], [3, 2]), params, pool=True)
+        assert len(tape) == 1 and out.shape == (2, 4)
+
+    def test_sums_only_the_true_length(self):
+        table = np.array([[100.0], [1.0], [2.0], [4.0]])
+        out = L.embed(make_batch([[1, 3, 1, 0], [2, 2, 3, 3]], [3, 1]), L.EmbeddingParams(Variable(table)), pool=True)
+        np.testing.assert_array_equal(out.value, [[6.0], [2.0]])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        batch=st.integers(1, 4), steps=st.integers(1, 6), vocab=st.integers(1, 6), width=st.integers(1, 3),
+        other=st.sampled_from(["none", "before", "after"]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=1, steps=1, vocab=1, width=1, other="none", seed=0)
+    @example(batch=4, steps=6, vocab=3, width=3, other="before", seed=1)
+    @example(batch=4, steps=6, vocab=3, width=3, other="after", seed=1)
+    def test_matches_lookup_then_sum_on_integers(self, batch, steps, vocab, width, other, seed):
+        """Small integers make every sum exact, so the values, the table
+        gradient's bits and its row hint must match the two-node graph. An
+        unpooled lookup of the same table, recorded before or after the
+        pooled one, must union its rows into the hint."""
+        rng = np.random.default_rng(seed)
+        value = rng.integers(-3, 4, (vocab, width)).astype(float)
+        b = make_batch(rng.integers(0, vocab, (batch, steps)), rng.integers(1, steps + 1, batch))
+        w = rng.integers(-3, 4, (batch, width)).astype(float)
+        other_ids = rng.integers(0, vocab, (2, 3))
+        w_other = rng.integers(-3, 4, (2, 3, width)).astype(float)
+
+        def run(pooled):
+            table = Variable(value.copy())
+            with Tape() as tape:
+                unpooled = lambda: sum_all(mul(L.embedding_lookup(table, other_ids), Variable(w_other)))
+                terms = [unpooled()] if other == "before" else []
+                out = pooled(table)
+                terms.append(sum_all(mul(out, Variable(w))))
+                terms += [unpooled()] if other == "after" else []
+                loss = terms[0] if len(terms) == 1 else add(*terms)
+            backward(tape, loss)
+            return out.value, table.grad, table.grad_rows
+
+        got = run(lambda t: L.embed(b, L.EmbeddingParams(t), pool=True))
+        ref = run(lambda t: L.sum_over_time(L.embedding_lookup(t, b.ids), b.lengths))
+        np.testing.assert_array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
+        np.testing.assert_array_equal(got[1].view(np.uint64), ref[1].view(np.uint64))
+        np.testing.assert_array_equal(got[2], ref[2])
+        np.testing.assert_array_equal(got[2], np.unique([*b.ids.ravel(), *(other_ids.ravel() if other != "none" else [])]))
+
+    def test_id_out_of_range_raises_data_error(self):
+        params = L.EmbeddingParams(Variable(np.zeros((3, 2))))
+        with pytest.raises(DataError, match=r"\(1, 0\)"):
+            L.embed(make_batch([[1, 2], [3, 0]], [2, 1]), params, pool=True)
+
+    @pytest.mark.parametrize("lengths", [[0, 2], [2, 3], [2]])
+    def test_bad_lengths_raise_as_sum_over_time_does(self, lengths):
+        params = L.EmbeddingParams(Variable(np.zeros((3, 2))))
+        ids = np.array([[1, 2], [2, 0]])
+        with pytest.raises((ContractError, ShapeError)) as expected:
+            L.sum_over_time(L.embedding_lookup(params.table, ids), np.array(lengths))
+        with pytest.raises(expected.type):
+            L.embed(EncodedBatch(ids, np.array(lengths), np.zeros(2, dtype=np.int64)), params, pool=True)
+
+
 class TestGruCell:
     def params(self, wr, wz, wh, ur, uz, uh, br, bz, bh):
         return L.GruParams(
