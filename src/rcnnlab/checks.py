@@ -148,8 +148,8 @@ def _birnn_context(rng):
     return [x, *_tensors(*pair)], lambda: L.birnn_context(x, *pair), True
 
 
-def _highway(rng):
-    batch, steps, d = 2, 3, 4
+def _highway(rng, steps: int = 3):
+    batch, d = 2, 4
     p = L.HighwayParams.create(rng, d)
     x = _uniform(rng, batch, steps, d)
     clear = _clear_of_kinks(x.reshape(-1, d) @ p.w_h.value + p.b_h.value)
@@ -157,13 +157,24 @@ def _highway(rng):
     return [x, *_tensors(p)], lambda: L.highway_forward(x, p), clear
 
 
-def _dense_relu(rng):
-    batch, steps, d, width = 2, 3, 4, 3
+def _dense_relu(rng, steps: int = 3):
+    batch, d, width = 2, 4, 3
     p = L.DenseParams.create(rng, d, width)
     x = _uniform(rng, batch, steps, d)
     clear = _clear_of_kinks(x.reshape(-1, d) @ p.w.value + p.b.value)
     x = Variable(x)
     return [x, *_tensors(p)], lambda: L.dense_relu_positions(x, p), clear
+
+
+def _live(rng, block):
+    """``block`` over six positions under a window-1 pooled convolution, which
+    sends gradient to at most B·F = 4 of its 12 rows, so its backward gathers
+    the live rows. Clear also when the convolution's responses are."""
+    variables, f, clear = block(rng, steps=6)
+    conv = L.ConvParams.create(rng, 1, f().shape[-1], 2)
+    responses = f().value @ conv.filters.value.T + conv.bias.value
+    clear = clear and _clear_of_kinks(responses) and _clear_of_ties(responses)
+    return variables, lambda: L.conv1d_forward(f(), conv, pool=True), clear
 
 
 def _conv(rng, window: int, pool: bool = False):
@@ -240,6 +251,8 @@ LAYER_TARGETS = [
     ("conv1d_pool_w2", partial(_conv, window=2, pool=True)),
     ("dense_relu_positions", _dense_relu),
     ("embed_pool", partial(_embed, pool=True)),
+    ("highway_live", partial(_live, block=_highway)),
+    ("dense_relu_live", partial(_live, block=_dense_relu)),
 ]
 
 

@@ -134,7 +134,9 @@ def train(
     vocab: Vocabulary,
 ) -> tuple[Model, RunReport]:
     """Epoch loop: forward, loss, backward, clip, step; keeps the best
-    validation parameters and stops early after ``patience`` stale epochs."""
+    validation parameters and stops early after ``patience`` stale epochs.
+    A non-finite loss, or pre-clip gradient norm, aborts with NumericError
+    before the step."""
     model = build_model(config.spec, config.init_seed)
     optimizer = make_optimizer(config.optimizer, model.parameters(), lr=config.lr)
     clip_norm = config.resolved_clip_norm()
@@ -160,8 +162,12 @@ def train(
                     f"non-finite loss {loss_value} at epoch {epoch}, batch {batch_index}"
                 )
             backward(tape, loss)
-            if clip_norm is not None:
-                clip_gradients(model.parameters(), clip_norm)
+            # Clipping's pre-clip norm is free; without clipping a bad gradient shows as the next loss.
+            if clip_norm is not None and not math.isfinite(norm := clip_gradients(model.parameters(), clip_norm)):
+                bad = next((n for n, p in model.params.items() if p.grad is not None and not np.isfinite(p.grad).all()),
+                           None)
+                raise NumericError(f"non-finite gradient norm {norm} at epoch {epoch}, batch {batch_index}"
+                                   + (f", first in {bad}" if bad else ", from finite gradients whose squares overflow"))
             optimizer.step()
             losses.append(loss_value)
             correct += int(np.sum(np.argmax(probs.value, axis=1) == batch.labels))

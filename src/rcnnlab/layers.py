@@ -465,6 +465,17 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
 # Highway and convolution
 # ---------------------------------------------------------------------------
 
+def _live_rows(g: np.ndarray, *factors: np.ndarray):
+    """The live rows of a position-wise block's backward: an index ``at`` of the
+    positions (g's leading axes) whose upstream gradient row is not all zero, and
+    g and each [N, k] factor gathered on them as [n, k]. With half or more
+    live, ``at`` is ``...`` and the gathers are views: the dense backward."""
+    live = np.flatnonzero(g.any(axis=-1))
+    few = 2 * live.size < g.size // g.shape[-1]
+    rows, at = (live, np.unravel_index(live, g.shape[:-1])) if few else (slice(None), ...)
+    return at, [a.reshape(-1, a.shape[-1])[rows] for a in (g, *factors)]
+
+
 def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     """Gated skip connection applied independently at every position.
 
@@ -478,6 +489,15 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     gradients so that the weight and the input gradients are one matmul
     each, the latter over [W_t | W_h]. The mix keeps the order above, so
     the output matches the primitive graph bit for bit.
+
+    The backward works on the live rows alone (``_live_rows``): under a
+    window-1 pooled convolution at most B·F of the B·T positions get
+    gradient. Dead rows' input gradient stays +0.0, so a highway layer below
+    skips the same rows. The weight and bias gradients sum only the live
+    rows, which a BLAS may group differently from the dense sum (about 1e-15
+    relative). Under half live is the rule because gathering stops paying
+    at 60-80% live: dense / gathered ms at 5, 50, 70, 98% live were 13.4/2.6,
+    14.2/12.2, 15.9/16.3, 14.2/20.0 on 16,000 x 32 rows (2-core Xeon, 1 thread).
     """
     d = x_tilde.shape[-1]
     for name, w in (("transform", p.w_h), ("gate", p.w_t)):
@@ -491,23 +511,26 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     out = Variable((gate * transformed + (1.0 - gate) * x).reshape(x_tilde.shape))
 
     def bw(g: np.ndarray) -> None:
-        g = g.reshape(x.shape)
-        da = np.empty((x.shape[0], 2 * d))  # [gate | transform] pre-activation gradients
-        np.multiply(g * (transformed - x), gate * (1.0 - gate), out=da[:, :d])
+        at, (g, xs, gs, ts) = _live_rows(g, x, gate, transformed)
+        da = np.empty((len(g), 2 * d))  # [gate | transform] pre-activation gradients
+        np.multiply(g * (ts - xs), gs * (1.0 - gs), out=da[:, :d])
         # Subgradient of the relu at exactly 0 is 0.
-        np.multiply(g * gate, transformed > 0.0, out=da[:, d:])
+        np.multiply(g * gs, ts > 0.0, out=da[:, d:])
         w = np.concatenate([w_t.value, w_h.value], axis=1)
-        dw, db = x.T @ da, da.sum(axis=0)
+        dw, db = xs.T @ da, da.sum(axis=0)
         for v, gv in ((w_t, dw[:, :d]), (w_h, dw[:, d:]), (b_t, db[:d]), (b_h, db[d:])):
             v.ensure_grad()[...] += gv
-        x_tilde.ensure_grad()[...] += (da @ w.T + g * (1.0 - gate)).reshape(x_tilde.shape)
+        dx = x_tilde.ensure_grad()
+        dx[at] += (da @ w.T + g * (1.0 - gs)).reshape(dx[at].shape)
 
     return record("highway_forward", out, bw)
 
 
 def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     """relu(x·W + b) applied independently at every (batch, position), as one
-    tape node whose backward is written by hand."""
+    tape node whose backward is written by hand. Like ``highway_forward``'s,
+    the backward works on the live rows alone, and is the dense one, bit for
+    bit, when half the rows or more are live."""
     d, width = p.w.shape[0], p.w.shape[1]
     if x.shape[-1] != d:
         raise ShapeError(f"dense block expects input width {d}, got {x.shape[-1]}")
@@ -521,11 +544,13 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     np.maximum(y, 0.0, out=y)
 
     def bw(g: np.ndarray) -> None:
+        at, (g, xs, ys) = _live_rows(g, rows, y)
         # Subgradient of the relu at exactly 0 is 0.
-        da = g.reshape(y.shape) * (y > 0.0)
-        w.ensure_grad()[...] += rows.T @ da
+        da = g * (ys > 0.0)
+        w.ensure_grad()[...] += xs.T @ da
         b.ensure_grad()[...] += da.sum(axis=0)
-        x.ensure_grad()[...] += (da @ w.value.T).reshape(x.shape)
+        dx = x.ensure_grad()
+        dx[at] += (da @ w.value.T).reshape(dx[at].shape)
 
     return record("dense_relu_positions", Variable(y.reshape(x.shape[:-1] + (width,))), bw)
 

@@ -314,6 +314,25 @@ def taped_highway(x_tilde, p):
     return reshape(y, x_tilde.shape)
 
 
+def dense_highway_grads(x_tilde, p, g):
+    """The fused highway kernel's backward over every row, as it ran before it
+    skipped zero-gradient rows: the gradients of <g, highway(x_tilde)> for
+    x_tilde, w_h, b_h, w_t and b_t, as accumulated into fresh zero buffers.
+    The stacked arithmetic rounds differently from ``taped_highway``."""
+    d = x_tilde.shape[-1]
+    x = x_tilde.reshape(-1, d)
+    gate = _stable_sigmoid(x @ p.w_t.value + p.b_t.value)
+    transformed = np.maximum(x @ p.w_h.value + p.b_h.value, 0.0)
+    g = g.reshape(x.shape)
+    da = np.empty((x.shape[0], 2 * d))
+    np.multiply(g * (transformed - x), gate * (1.0 - gate), out=da[:, :d])
+    np.multiply(g * gate, transformed > 0.0, out=da[:, d:])
+    w = np.concatenate([p.w_t.value, p.w_h.value], axis=1)
+    dw, db = x.T @ da, da.sum(axis=0)
+    dx = (da @ w.T + g * (1.0 - gate)).reshape(x_tilde.shape)
+    return [0.0 + a for a in (dx, dw[:, d:], db[d:], dw[:, :d], db[:d])]
+
+
 def taped_dense_relu(x, p):
     """The MLP block as five primitive nodes: relu(x·W + b) at every position."""
     d = x.shape[-1]

@@ -61,6 +61,7 @@ class TestCriterion1LayerGradients:
             "highway_forward", "conv1d_forward_w1", "conv1d_forward_w2",
             "maxpool_over_time", "dense_softmax", "softmax_cross_entropy",
             "gru_scan", "lstm_scan", "conv1d_pool_w1", "conv1d_pool_w2", "embed_pool",
+            "highway_live", "dense_relu_live",
         }
         started = time.perf_counter()
         results = checks.run_layer_checks(base_seed=0, seeds=5)

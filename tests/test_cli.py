@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rcnnlab.cli import main
@@ -75,6 +76,25 @@ class TestTrain:
                          "--out", str(tmp_path / "overflow"), "--lr", "1e200",
                          "--clip-norm", "0", *fast_flags()])
         assert code == 4
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # clipping scales the inf by 0
+    def test_non_finite_gradient_is_exit_four_naming_the_tensor(self, toy_tsv, tmp_path, monkeypatch, capsys):
+        from rcnnlab import harness
+        from rcnnlab.autodiff import backward
+        from rcnnlab.models import build_model
+
+        built = []
+        monkeypatch.setattr(harness, "build_model", lambda spec, seed: built.append(build_model(spec, seed)) or built[0])
+
+        def poisoned(tape, loss):
+            backward(tape, loss)
+            built[0].params["highway0.w_t"].grad[1, 2] = np.inf
+
+        monkeypatch.setattr(harness, "backward", poisoned)
+        code = main(["train", "--data", str(toy_tsv), "--model", "rcnn-hw", "--out", str(tmp_path / "run"),
+                     *fast_flags()])
+        assert code == 4
+        assert "first in highway0.w_t" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--lr", "-0.5"), ("--lr", "0"), ("--lr", "nan"),
                                             ("--clip-norm", "-1")])
@@ -271,7 +291,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--scope", "layer"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if "max_rel_error" in l]
-        assert len(lines) == 18
+        assert len(lines) == 20
         assert lines[0].startswith("embed")
         assert all("PASS" in l for l in lines)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcnnlab import harness
+from rcnnlab.autodiff import backward
 from rcnnlab.data import build_vocab, gen_keyword_task
 from rcnnlab.errors import CheckpointError, ConfigError, ContractError, NumericError
 from rcnnlab.harness import (
@@ -116,6 +118,26 @@ class TestTrain:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericError, match="epoch 0"):
                 train(cfg, train_set, val_set, vocab)
+
+    def test_non_finite_gradient_aborts_before_the_step_and_names_it(self, task, monkeypatch):
+        """A NaN in two parameters' gradients stops training before the
+        optimizer writes it anywhere, naming the first in parameter order."""
+        train_set, val_set, _test, vocab = task
+        built = []
+        monkeypatch.setattr(harness, "build_model", lambda spec, seed: built.append(build_model(spec, seed)) or built[0])
+
+        def poisoned(tape, loss):
+            backward(tape, loss)
+            for name in ("head.w", "conv.bias"):
+                built[0].params[name].grad[0] = np.nan
+
+        monkeypatch.setattr(harness, "backward", poisoned)
+        cfg = tiny_config(vocab_size=len(vocab))
+        with pytest.raises(NumericError, match=r"gradient norm nan at epoch 0, batch 0, first in conv\.bias$"):
+            train(cfg, train_set, val_set, vocab)
+        fresh = build_model(cfg.spec, cfg.init_seed)
+        for name, p in built[0].params.items():
+            np.testing.assert_array_equal(p.value, fresh.params[name].value)
 
     @pytest.mark.parametrize("optimizer", ["rmsprop", "adadelta"])
     def test_row_hinted_steps_train_bit_identically_to_dense_steps(self, optimizer, monkeypatch):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    add, conv_oracle, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv, taped_conv_pool,
-    taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan, taped_lstm_step,
+    add, conv_oracle, dense_highway_grads, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv,
+    taped_conv_pool, taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan,
+    taped_lstm_step,
 )
 
 from rcnnlab import checks
@@ -912,6 +913,126 @@ class TestDenseRelu:
         p = L.DenseParams(Variable(np.zeros((4, 3))), Variable(np.zeros(4)))
         with pytest.raises(ShapeError, match="bias"):
             L.dense_relu_positions(Variable(np.zeros((2, 5, 4))), p)
+
+
+LIVE_COUNTS = {  # live positions out of n
+    "none": lambda n: 0,
+    "one": lambda n: 1,
+    "under_half": lambda n: (n - 1) // 2,  # the most the gathered backward takes
+    "half": lambda n: (n + 1) // 2,  # the fewest the dense backward takes: exactly half when n is even
+    "all": lambda n: n,
+}
+
+
+def masked_cotangent(rng, shape, live_count):
+    """A standard normal cotangent whose rows outside a random set of
+    ``live_count`` positions are +0.0, as a pooled convolution sends, and
+    that set as a mask over the leading axes. About a third of the live rows'
+    entries are +0.0 too, one column excepted, so a live row need not be
+    nonzero throughout."""
+    n = math.prod(shape[:-1])
+    live = np.zeros(n, dtype=bool)
+    live[rng.permutation(n)[:live_count]] = True
+    live = live.reshape(shape[:-1])
+    keep = rng.random(shape) < 0.7
+    keep[..., rng.integers(shape[-1])] = True
+    return np.where(live[..., None] & keep, rng.normal(size=shape), 0.0), live
+
+
+def randomized_highway(rng, d):
+    p = L.HighwayParams.create(rng, d)
+    for _n, v in p.named():
+        v.value[...] = rng.uniform(-1, 1, v.shape)  # nonzero biases too
+    return p
+
+
+class TestLiveRowBackward:
+    """The highway and dense+relu backward work only on the rows whose upstream
+    gradient is not all zero. Dead rows' input gradient stays +0.0; live rows'
+    and the parameters' gradients match the dense backward (a BLAS can round
+    a product of fewer rows differently, so within 1e-12); and with half the
+    rows or more live the backward is the dense one, byte for byte."""
+
+    @staticmethod
+    def check(grads, dense, taped, live):
+        dead = grads[0][~live]
+        assert not dead.any() and not np.signbit(dead).any()
+        for got, expected, ref in zip(grads, dense, taped):
+            assert_rel_close(got, expected)
+            assert_rel_close(got, ref, floor=1.0)  # cancelling sums are judged on the loss's unit scale
+        if 2 * live.sum() >= live.size:
+            for got, expected in zip(grads, dense):
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(batch=st.integers(1, 4), steps=st.integers(1, 8), d=st.integers(1, 5),
+           live=st.sampled_from([*LIVE_COUNTS, "any"]), seed=st.integers(0, 2**32 - 1))
+    @example(batch=2, steps=6, d=4, live="none", seed=0)
+    @example(batch=2, steps=6, d=4, live="one", seed=1)
+    @example(batch=2, steps=6, d=4, live="under_half", seed=2)
+    @example(batch=2, steps=6, d=4, live="half", seed=3)
+    @example(batch=3, steps=5, d=3, live="half", seed=4)
+    @example(batch=2, steps=6, d=4, live="all", seed=5)
+    def test_highway(self, batch, steps, d, live, seed):
+        rng = np.random.default_rng(seed)
+        p = randomized_highway(rng, d)
+        x = rng.uniform(-2, 2, (batch, steps, d))
+        count = LIVE_COUNTS[live](batch * steps) if live in LIVE_COUNTS else int(rng.integers(0, batch * steps + 1))
+        g, mask = masked_cotangent(rng, x.shape, count)
+        _out, grads = weighted_grads(lambda xs: L.highway_forward(xs, p), p, [x], g)
+        _ref, taped = weighted_grads(lambda xs: taped_highway(xs, p), p, [x], g)
+        self.check(grads, dense_highway_grads(x, p, g), taped, mask)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(batch=st.integers(1, 4), steps=st.integers(1, 8), d=st.integers(1, 5), width=st.integers(1, 5),
+           live=st.sampled_from([*LIVE_COUNTS, "any"]), seed=st.integers(0, 2**32 - 1))
+    @example(batch=2, steps=6, d=4, width=3, live="none", seed=0)
+    @example(batch=2, steps=6, d=4, width=3, live="one", seed=1)
+    @example(batch=2, steps=6, d=4, width=3, live="under_half", seed=2)
+    @example(batch=2, steps=6, d=4, width=3, live="half", seed=3)
+    @example(batch=3, steps=5, d=3, width=4, live="half", seed=4)
+    @example(batch=2, steps=6, d=4, width=3, live="all", seed=5)
+    def test_dense_relu(self, batch, steps, d, width, live, seed):
+        """The five-node taped block is the dense backward, bit for bit."""
+        rng = np.random.default_rng(seed)
+        p = random_params(L.DenseParams, rng, d, width)
+        x = rng.uniform(-2, 2, (batch, steps, d))
+        count = LIVE_COUNTS[live](batch * steps) if live in LIVE_COUNTS else int(rng.integers(0, batch * steps + 1))
+        g, mask = masked_cotangent(rng, (batch, steps, width), count)
+        _out, grads = weighted_grads(lambda xs: L.dense_relu_positions(xs, p), p, [x], g)
+        _ref, taped = weighted_grads(lambda xs: taped_dense_relu(xs, p), p, [x], g)
+        self.check(grads, taped, taped, mask)
+
+    @pytest.mark.parametrize("kernel,params", [
+        (L.highway_forward, lambda rng: randomized_highway(rng, 4)),
+        (L.dense_relu_positions, lambda rng: random_params(L.DenseParams, rng, 4, 4)),
+    ], ids=["highway", "dense_relu"])
+    def test_input_gradient_adds_to_what_is_there(self, kernel, params):
+        """Two uses of one input: the second backward adds its live rows onto
+        the first's gradient, so each gradient is exactly twice one use's."""
+        rng = np.random.default_rng(64)
+        p = params(rng)
+        x = rng.uniform(-2, 2, (2, 6, 4))
+        g, _mask = masked_cotangent(rng, x.shape, 3)
+        _out, once = weighted_grads(lambda xs: kernel(xs, p), p, [x], g)
+        _out, twice = weighted_grads(lambda xs: add(kernel(xs, p), kernel(xs, p)), p, [x], g)
+        for a, b in zip(twice, once):
+            np.testing.assert_array_equal(a, 2.0 * b)
+
+    @pytest.mark.parametrize("live", list(LIVE_COUNTS))
+    def test_two_highway_layers_stay_live_row(self, live):
+        """The upper layer's dead rows give the lower one an all-zero upstream
+        row, so the lower layer skips the same rows."""
+        rng = np.random.default_rng(63)
+        pair = randomized_highway(rng, 4), randomized_highway(rng, 4)
+        x = rng.uniform(-2, 2, (3, 8, 4))
+        g, mask = masked_cotangent(rng, x.shape, LIVE_COUNTS[live](24))
+        _out, grads = weighted_grads(lambda xs: L.highway_forward(L.highway_forward(xs, pair[0]), pair[1]),
+                                     pair, [x], g)
+        _ref, taped = weighted_grads(lambda xs: taped_highway(taped_highway(xs, pair[0]), pair[1]), pair, [x], g)
+        upper = dense_highway_grads(L.highway_forward(Variable(x), pair[0]).value, pair[1], g)
+        lower = dense_highway_grads(x, pair[0], upper[0])
+        self.check(grads, [*lower, *upper[1:]], taped, mask)
 
 
 class TestGateRanges:
