@@ -7,9 +7,9 @@ order, which is a valid topological order because every node's inputs
 exist before the node is appended. Gradients accumulate in place, so a
 Variable used twice receives the sum of both branch gradients.
 
-Every differentiable op is a kernel that computes its output with numpy
-and records one node whose backward rule is written by hand (``record``);
-the engine itself adds only ``concat`` and ``reshape``. There is no implicit
+The engine defines no ops. Every differentiable op is a kernel in
+``layers`` that computes its output with numpy and records one node whose
+backward rule is written by hand (``record``). There is no implicit
 broadcasting: each kernel checks its operands' shapes and broadcasts a bias
 only over the leading axes that its backward sums.
 
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, GradCheckError, ShapeError
+from .errors import ContractError, GradCheckError
 
 _STATE = threading.local()
 
@@ -154,42 +154,6 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
-
-
-def concat(parts: Sequence[Variable], axis: int) -> Variable:
-    if not parts:
-        raise ContractError("concat needs at least one part")
-    ndim = parts[0].value.ndim
-    if axis < -ndim or axis >= ndim:
-        raise ShapeError(f"concat axis {axis} out of range for rank {ndim}")
-    axis = axis % ndim
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != ndim or any(other[d] != base[d] for d in range(ndim) if d != axis):
-            raise ShapeError(f"concat shapes incompatible off axis {axis}: {parts[0].shape} vs {p.shape}")
-    out = Variable(np.concatenate([p.value for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-
-    def bw(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * ndim
-            sl[axis] = slice(lo, hi)
-            p.ensure_grad()[...] += g[tuple(sl)]
-
-    return record("concat", out, bw)
-
-
-def reshape(x: Variable, shape: Sequence[int]) -> Variable:
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.value.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = Variable(x.value.reshape(shape))
-
-    def bw(g: np.ndarray) -> None:
-        x.ensure_grad()[...] += g.reshape(x.shape)
-
-    return record("reshape", out, bw)
 
 
 # ---------------------------------------------------------------------------

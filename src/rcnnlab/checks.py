@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import layers as L
-from .autodiff import Tape, Variable, backward, concat, finite_diff_check, record
+from .autodiff import Tape, Variable, backward, finite_diff_check, record
 from .data import EncodedBatch
 from .errors import ConfigError
 from .models import ModelSpec, build_model
@@ -130,7 +130,7 @@ def _lstm_cell(rng):
     batch, in_dim, hidden = 2, 2, 3
     p = L.LstmParams.create(rng, in_dim, hidden)
     x, h, c = (Variable(_uniform(rng, batch, d)) for d in (in_dim, hidden, hidden))
-    return [x, h, c, *_tensors(p)], lambda: concat(L.lstm_cell_step(x, (h, c), p), axis=1), True
+    return [x, h, c, *_tensors(p)], lambda: L.concat(L.lstm_cell_step(x, (h, c), p), axis=1), True
 
 
 def _scan(rng, cls, scan):
@@ -138,7 +138,7 @@ def _scan(rng, cls, scan):
     batch, steps, in_dim, hidden = 2, 3, 2, 3
     p = cls.create(rng, in_dim, hidden)
     x = Variable(_uniform(rng, batch, steps, in_dim))
-    return [x, *_tensors(p)], lambda: concat([scan(x, p, d) for d in ("forward", "backward")], axis=2), True
+    return [x, *_tensors(p)], lambda: L.concat([scan(x, p, d) for d in ("forward", "backward")], axis=2), True
 
 
 def _birnn_context(rng):

@@ -128,11 +128,19 @@ def _make_config(options: dict, vocab_size: int) -> TrainConfig:
     return TrainConfig(spec=spec, **picked(TrainConfig))
 
 
+def _evaluable(dataset: TextDataset, source) -> TextDataset:
+    """A split a command evaluates on; an empty one is rejected before anything trains."""
+    if len(dataset) == 0:
+        raise DataError(f"no examples to evaluate on in {source}")
+    return dataset
+
+
 def _load_data(path_str: str) -> tuple[TextDataset, TextDataset | None]:
     """TSV file -> (dataset, None); review directory -> (train, test)."""
     path = Path(path_str)
     if path.is_dir():
-        return load_imdb_dir(path)
+        train_set, test_set = load_imdb_dir(path)
+        return train_set, _evaluable(test_set, path / "test")
     return load_tsv(path), None
 
 
@@ -201,7 +209,7 @@ def cmd_eval(args) -> int:
             f"but the checkpoint was trained with {model.spec.vocab_size}"
         )
     dataset, test_set = _load_data(args.data)
-    target = test_set if test_set is not None else dataset
+    target = test_set if test_set is not None else _evaluable(dataset, args.data)
     accuracy = evaluate(model, target, vocab, model.spec.seq_len)
     print(f"accuracy={accuracy:.6f}")
     return 0
@@ -214,7 +222,7 @@ def _run_grid_command(args, models: str, run, stem: str) -> int:
     options = _resolve_options(args)
     dataset, test_set = _load_data(args.data)
     if args.test_data:
-        test_set = load_tsv(args.test_data)
+        test_set = _evaluable(load_tsv(args.test_data), args.test_data)
     if test_set is None:
         dataset, test_set = split_train_val(dataset, 0.2, seed=29)
     train_set, val_set = split_train_val(dataset, options["val_fraction"])

@@ -10,13 +10,12 @@ through ``autodiff.record``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-# concat is re-exported: models joins layer outputs through L.concat.
-from .autodiff import Variable, _stable_sigmoid, concat, record, reshape
+from .autodiff import Variable, _stable_sigmoid, record
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
@@ -203,14 +202,11 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
 # Recurrent cells
 # ---------------------------------------------------------------------------
 
-# Each cell type has one fused kernel that runs a whole scan and records one
-# tape node (Appleyard, Kočiský & Blunsom, arXiv 1604.01946). One matmul
-# projects every step's input, each step adds its recurrent matmuls, and the
-# hand-written backpropagation through time ends in one matmul or sum per
-# weight, bias and input gradient, split back onto the per-gate Variables the
-# forward read. Kernels run time-major in processing order: a backward scan
-# reverses its input first, exactly as a forward scan of the reversed input.
-# Cell steps are the T=1 case.
+# Both cells run on one layout, written once in ``_Recurrence`` (Appleyard,
+# Kočiský & Blunsom, arXiv 1604.01946); a kernel writes only its cell's step
+# and its hand-written BPTT, and a scan records one tape node. Kernels run
+# time-major in processing order: a backward scan reverses its input first,
+# exactly as a forward scan of the reversed input. Cell steps are the T=1 case.
 
 def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     """[B, T, k] in time order -> contiguous [T, B, k] in processing order."""
@@ -223,48 +219,91 @@ def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     return a[:, ::-1] if reverse else a
 
 
-def _check_recurrent_shapes(name: str, cls, x: Variable, states: tuple[Variable, ...], params, hidden: int) -> None:
-    """Each list in ``params`` has cls's shapes for x; each state is [B, len(params)·hidden]."""
-    batch, _steps, width = x.shape
-    if any([v.shape for v in vs] != cls.shapes(width, hidden) for vs in params):
-        raise ShapeError(f"{name} parameters for input width {width} must have shapes {cls.shapes(width, hidden)}")
-    for s in states:
-        if s.shape != (batch, len(params) * hidden):
-            raise ShapeError(f"{name} state must be [{batch}, {len(params) * hidden}], got {s.shape}")
+def _steps(a: np.ndarray) -> np.ndarray:
+    """[B, T, k] as it is; a cell step's [B, k] as a [B, 1, k] view."""
+    return a if a.ndim == 3 else a[:, None]
+
+
+class _Recurrence:
+    """k directions, one (params, reverse, band) in ``dirs`` each, in one loop over
+    inputs x [B, T, d] from states [B, n], n = k·h. The G gates of a cls cell
+    stack gate-major and block-diagonal over the directions: W [k·d, G·n], Uᵀ
+    [G·n, n], b [G·n, 1]. Steps are feature-major, [·, B], so a gate is a block
+    of rows. One matmul projects all inputs, and one credits each gradient."""
+
+    def __init__(self, name: str, cls, x: Variable, states: tuple[Variable, ...], dirs):
+        # Captured now: backward credits the Variables this forward read, even if
+        # one of p's fields is swapped for another Variable before backward runs.
+        self.params = [[v for _name, v in p.named()] for p, _reverse, _band in dirs]
+        self.x, self.states, self.dirs, gates = x, states, dirs, len(cls.shapes(0, 0)) // 3
+        (batch, steps, width), k, hidden = _steps(x.value).shape, len(dirs), self.params[0][gates].shape[0]
+        n = k * hidden
+        if any([v.shape for v in vs] != cls.shapes(width, hidden) for vs in self.params):
+            raise ShapeError(f"{name} parameters for input width {width} must have shapes {cls.shapes(width, hidden)}")
+        for s in states:
+            if s.shape != (batch, n):
+                raise ShapeError(f"{name} state must be [{batch}, {n}], got {s.shape}")
+        w, u, b = np.zeros((k, width, gates, k, hidden)), np.zeros((k, hidden, gates, k, hidden)), np.empty((gates, k, hidden))
+        for j, vs in enumerate(self.params):
+            w[j, :, :, j], u[j, :, :, j], b[:, j] = (np.stack([v.value for v in vs[i : i + gates]], axis=-2) for i in (0, gates, 2 * gates))
+        self.w, self.u_t, self.b = w.reshape(k * width, gates * n), np.ascontiguousarray(u.reshape(n, gates * n).T), b.reshape(-1, 1)
+        # [T, B, k·d]: each direction's input in its processing order.
+        self.xs = np.concatenate([_time_major(_steps(x.value), reverse) for _p, reverse, _band in dirs], axis=2)
+        self.dims, self.steps, self.n, self.batch = (k, width, gates, hidden), steps, n, batch
+        # Each state's buffer, [T+1, n, B]: [t] is the state step t reads.
+        self.tracks = [np.empty((steps + 1, n, batch)) for _s in states]
+        for a, s in zip(self.tracks, states):
+            a[0] = s.value.T
+
+    def project(self) -> np.ndarray:
+        """x·W for every step, [T, G·n, B], without the biases."""
+        return np.matmul(self.w.T, self.xs.transpose(0, 2, 1))
+
+    def write_bands(self, out: np.ndarray, hs: np.ndarray) -> None:
+        """Each direction's states, hs[1:], into its band of out in time order."""
+        for (_p, reverse, band), h in zip(self.dirs, np.split(hs[1:], len(self.dirs), axis=1)):
+            _steps(out)[:, :, band] = _batch_major(h.transpose(0, 2, 1), reverse)
+
+    def read_bands(self, g: np.ndarray) -> np.ndarray:
+        """d(out)'s bands, [T, n, B] in processing order."""
+        return np.concatenate([_time_major(_steps(g)[:, :, band], reverse).transpose(0, 2, 1) for _p, reverse, band in self.dirs], 1)
+
+    def credit(self, da: np.ndarray, recurrent, *carries: np.ndarray) -> None:
+        """Add the gradients from the pre-activations' da [T, G·n, B] onto the
+        weights, biases and x, and each carry [n, B] onto its state. ``recurrent``
+        pairs, in gate order, each right operand of U with the gates it feeds."""
+        (k, width, gates, hidden), n = self.dims, self.n
+        rows = [a.transpose(0, 2, 1).reshape(self.steps * self.batch, -1) for a in (da, *(a for a, _g in recurrent))]
+        flat, ends = rows[0], np.cumsum([0] + [g * n for _a, g in recurrent])
+        du = np.concatenate([r.T @ flat[:, lo:hi] for r, lo, hi in zip(rows[1:], ends, ends[1:])], 1)
+        dw = (self.xs.reshape(len(flat), -1).T @ flat).reshape(k, width, gates, k, hidden)
+        du, db = du.reshape(k, hidden, gates, k, hidden), flat.sum(axis=0).reshape(gates, k, hidden)
+        for j, vs in enumerate(self.params):
+            for v, gv in zip(vs, [*dw[j, :, :, j].swapaxes(0, 1), *du[j, :, :, j].swapaxes(0, 1), *db[:, j]]):
+                v.ensure_grad()[...] += gv
+        dxs = np.split((flat @ self.w.T).reshape(self.steps, self.batch, -1), k, axis=2)
+        for (_p, reverse, _band), dx in zip(self.dirs, dxs):
+            _steps(self.x.ensure_grad())[...] += _batch_major(dx, reverse)
+        for s, carry in zip(self.states, carries):
+            s.ensure_grad()[...] += carry.T
 
 
 def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[np.ndarray], None]:
-    """GRUs over [B, T, d] inputs, one per (GruParams, reverse, band) in
-    ``dirs``, in one loop from the state h0 [B, k·h]; each writes its states
-    [B, T, h] to ``out[:, :, band]``. Returns the backward, given d(out).
+    """GRUs on the ``_Recurrence`` layout from the state h0, each writing its
+    states to its band of ``out``. Returns the backward, given d(out).
 
     r = sigmoid(x·W_r + h·U_r + b_r)
     z = sigmoid(x·W_z + h·U_z + b_z)
     cand = tanh(x·W_h + (r*h)·U_h + b_h)
     h' = z*h + (1-z)*cand        (the update gate keeps the OLD state)
 
-    The state is [h_1 | ... | h_k] and the gates [r_1..r_k | z_1..z_k |
-    cand_1..cand_k], under weights block-diagonal over the directions. Steps
-    are feature-major, [features, B], so each gate is a contiguous block.
+    The gates are [r | z | cand], with the biases folded into the projection.
     """
-    # Captured now: backward credits the Variables this forward read, even if
-    # one of p's fields is swapped for another Variable before backward runs.
-    params = [[v for _name, v in p.named()] for p, _reverse, _band in dirs]
-    k, hidden = len(dirs), params[0][3].shape[0]
-    n = k * hidden
-    _check_recurrent_shapes("gru", GruParams, x, (h0,), params, hidden)
-    batch, steps, width = x.shape
-    w, u, b = np.zeros((k, width, 3, k, hidden)), np.zeros((k, hidden, 3, k, hidden)), np.empty((3, k, hidden))
-    for j, vs in enumerate(params):
-        w[j, :, :, j], u[j, :, :, j], b[:, j] = (np.stack([v.value for v in vs[i : i + 3]], axis=-2) for i in (0, 3, 6))
-    w, u_t = w.reshape(k * width, 3 * n), np.ascontiguousarray(u.reshape(n, 3 * n).T)  # u_t = [U_rz | U_c]ᵀ
-
-    # [T, B, k·d]: each direction's input in its processing order.
-    xs = np.concatenate([_time_major(x.value, reverse) for _p, reverse, _band in dirs], axis=2)
-    xw = np.matmul(w.T, xs.transpose(0, 2, 1))  # [T, 3n, B], biases folded in
-    xw += b.reshape(3 * n, 1)
-    hs = np.empty((steps + 1, n, batch))  # hs[t] is the state step t reads
-    hs[0] = h0.value.T
+    r = _Recurrence("gru", GruParams, x, (h0,), dirs)
+    n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
+    xw = r.project()
+    xw += r.b
+    (hs,) = r.tracks
     rz, rh, cand = np.empty((steps, 2 * n, batch)), np.empty((steps, n, batch)), np.empty((steps, n, batch))
     for t in range(steps):
         h, a, c, h_next = hs[t], rz[t], cand[t], hs[t + 1]
@@ -278,11 +317,10 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
         np.subtract(h, c, out=h_next)  # h' = cand + z*(h - cand)
         h_next *= a[n:]
         h_next += c
-    for j, (_p, reverse, band) in enumerate(dirs):
-        out[:, :, band] = _batch_major(hs[1:, j * hidden : (j + 1) * hidden].transpose(0, 2, 1), reverse)
+    r.write_bands(out, hs)
 
     def bw(g: np.ndarray) -> None:
-        gs = np.concatenate([_time_major(g[:, :, band], reverse).transpose(0, 2, 1) for _p, reverse, band in dirs], 1)
+        gs = r.read_bands(g)
         # Factors from dL/d(r*h) (for r) and dL/dh' (z, cand) to the pre-activations, scaled in place below.
         s = rz * (1.0 - rz)
         da = np.concatenate([s[:, :n] * hs[:-1], s[:, n:] * (hs[:-1] - cand), (1 - rz[:, n:]) * (1 - cand * cand)], 1)
@@ -297,97 +335,64 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
             np.matmul(u_t[: 2 * n].T, da[t, : 2 * n], out=dh)
             dh += mixed[n:]
             dh += mixed[:n]
-        flat, h_rows, rh_rows = (a.transpose(0, 2, 1).reshape(steps * batch, -1) for a in (da, hs[:-1], rh))
-        du = np.concatenate([h_rows.T @ flat[:, : 2 * n], rh_rows.T @ flat[:, 2 * n :]], 1)
-        dw = (xs.reshape(steps * batch, -1).T @ flat).reshape(k, width, 3, k, hidden)
-        du, db = du.reshape(k, hidden, 3, k, hidden), flat.sum(axis=0).reshape(3, k, hidden)
-        for j, vs in enumerate(params):
-            for v, gv in zip(vs, [*dw[j, :, :, j].swapaxes(0, 1), *du[j, :, :, j].swapaxes(0, 1), *db[:, j]]):
-                v.ensure_grad()[...] += gv
-        dxs = (flat @ w.T).reshape(steps, batch, k, width)
-        for j, (_p, reverse, _band) in enumerate(dirs):
-            x.ensure_grad()[...] += _batch_major(dxs[:, :, j], reverse)
-        h0.ensure_grad()[...] += dh.T
+        del gs, s  # dead: freed before credit allocates, which lowers the peak heap
+        r.credit(da, [(hs[:-1], 2), (rh, 1)], dh)
 
     return bw
 
 
-def _lstm_kernel(
-    x: Variable, h0: Variable, c0: Variable, p: LstmParams, reverse: bool
-) -> tuple[Variable, Variable]:
-    """Standard LSTM over [B, T, d] inputs from state (h0, c0): sigmoid
-    input/forget/output gates, tanh candidate. Returns all hidden states
-    [B, T, h] and the final cell state [B, h].
+def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray):
+    """LSTMs on the ``_Recurrence`` layout from the states (h0, c0), each
+    writing its hidden states to its band of ``out``. Returns the backward,
+    given d(out), and the final cell state, whose gradient, if any, the
+    backward reads as the cell carry into the last step.
 
-    The final cell state is a second tape node. Its backward only makes sure
-    the kernel's node runs, which reads the cell gradient as the carry into
-    the last step, so c receives gradient even when no h was used.
+    i, f, o = sigmoid(x·W + h·U + b), each with its own weights
+    cand = tanh(x·W_c + h·U_c + b_c);  c' = f*c + i*cand;  h' = o*tanh(c')
+
+    The gates are [i | f | o | cand]. Each step adds the biases last: a
+    pre-activation rounds as (x·W + h·U) + b, not folded as the GRU's.
     """
-    # Captured now: backward credits the Variables this forward read, even if
-    # one of p's fields is swapped for another Variable before backward runs.
-    params = [v for _name, v in p.named()]
-    hidden = params[4].shape[0]
-    _check_recurrent_shapes("lstm", LstmParams, x, (h0, c0), [params], hidden)
-    batch, steps, width = x.shape
-    w, u, b = (np.concatenate([v.value for v in params[i : i + 4]], axis=-1) for i in (0, 4, 8))
-
-    xs = _time_major(x.value, reverse).reshape(steps * batch, width)
-    xw = (xs @ w).reshape(steps, batch, 4 * hidden)
-    hs = np.empty((steps + 1, batch, hidden))  # hs[t], cs[t]: the state step t reads
-    cs = np.empty((steps + 1, batch, hidden))
-    hs[0], cs[0] = h0.value, c0.value
-    gates = np.empty((steps, batch, 4 * hidden))  # [i|f|o|cand]
-    tc = np.empty((steps, batch, hidden))  # tanh of the new cell state
+    r = _Recurrence("lstm", LstmParams, x, (h0, c0), dirs)
+    n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
+    xw = r.project()
+    hs, cs = r.tracks
+    gates, tc = np.empty((steps, 4 * n, batch)), np.empty((steps, n, batch))
     for t in range(steps):
-        a = xw[t] + hs[t] @ u + b
-        gates[t, :, : 3 * hidden] = _stable_sigmoid(a[:, : 3 * hidden])
-        np.tanh(a[:, 3 * hidden :], out=gates[t, :, 3 * hidden :])
-        i, f, o, c = (gates[t, :, k * hidden : (k + 1) * hidden] for k in range(4))
-        cs[t + 1] = f * cs[t] + i * c
-        np.tanh(cs[t + 1], out=tc[t])
-        np.multiply(o, tc[t], out=hs[t + 1])
-    out = Variable(np.ascontiguousarray(_batch_major(hs[1:], reverse)))
-    c_last = Variable(cs[steps].copy())
+        a, c_next = gates[t], cs[t + 1]
+        np.matmul(u_t, hs[t], out=a)
+        a += xw[t]
+        a += r.b
+        _stable_sigmoid(a[: 3 * n], out=a[: 3 * n])
+        np.tanh(a[3 * n :], out=a[3 * n :])
+        np.multiply(a[n : 2 * n], cs[t], out=c_next)
+        c_next += a[:n] * a[3 * n :]
+        np.tanh(c_next, out=tc[t])
+        np.multiply(a[2 * n : 3 * n], tc[t], out=hs[t + 1])
+    r.write_bands(out, hs)
+    c_last = Variable(np.ascontiguousarray(cs[steps].T))
 
     def bw(g: np.ndarray) -> None:
-        gs = _time_major(g, reverse)
-        i, f, o, c = (gates[:, :, k * hidden : (k + 1) * hidden] for k in range(4))
-        # Factors from dL/dh' (for o and c') or dL/dc' (the rest) to each
-        # pre-activation, and to c' itself.
-        k_i = c * i * (1.0 - i)
-        k_f = cs[:-1] * f * (1.0 - f)
-        k_o = tc * o * (1.0 - o)
-        k_c = i * (1.0 - c * c)
+        gs = r.read_bands(g)
+        i, f, o, c = np.split(gates, 4, axis=1)
+        # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation.
+        k = np.concatenate([c * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - c * c)], 1)
         k_cell = o * (1.0 - tc * tc)
-        da = np.empty((steps, batch, 4 * hidden))
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden)) if c_last.grad is None else c_last.grad.copy()
+        da, carry = np.empty((steps, 4 * n, batch)), np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
+        dc, dh = carry[0], carry[2]
+        if c_last.grad is not None:
+            dc[...] = c_last.grad.T
         for t in range(steps - 1, -1, -1):
-            dh = dh + gs[t]
-            dc = dc + dh * k_cell[t]
-            np.multiply(dc, k_i[t], out=da[t, :, :hidden])
-            np.multiply(dc, k_f[t], out=da[t, :, hidden : 2 * hidden])
-            np.multiply(dh, k_o[t], out=da[t, :, 2 * hidden : 3 * hidden])
-            np.multiply(dc, k_c[t], out=da[t, :, 3 * hidden :])
-            dc = dc * f[t]
-            dh = da[t] @ u.T
-        flat = da.reshape(steps * batch, 4 * hidden)
-        grads = (
-            np.split(xs.T @ flat, 4, axis=1)
-            + np.split(hs[:-1].reshape(-1, hidden).T @ flat, 4, axis=1)
-            + np.split(flat.sum(axis=0), 4)
-        )
-        for v, gv in zip(params, grads):
-            v.ensure_grad()[...] += gv
-        x.ensure_grad()[...] += _batch_major((flat @ w.T).reshape(steps, batch, width), reverse)
-        h0.ensure_grad()[...] += dh
-        c0.ensure_grad()[...] += dc
+            dh += gs[t]
+            dc += dh * k_cell[t]
+            carry[1::2] = dc
+            np.multiply(carry.reshape(4 * n, batch), k[t], out=da[t])
+            dc *= f[t]
+            np.matmul(u_t.T, da[t], out=dh)
+        del gs, k, k_cell  # as in the GRU's backward
+        r.credit(da, [(hs[:-1], 4)], dh, dc)
 
-    def bw_cell(_g: np.ndarray) -> None:
-        out.ensure_grad()
-
-    record("lstm_scan", out, bw)
-    return out, record("lstm_cell_state", c_last, bw_cell)
+    return bw, c_last
 
 
 def _scan_reverse(inputs: Variable, direction: str, name: str) -> bool:
@@ -417,28 +422,32 @@ def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Vari
 def lstm_scan(inputs: Variable, p: LstmParams, direction: str = "forward") -> Variable:
     """LSTM hidden states [batch, T, h] from a zero state; directions as in ``gru_scan``."""
     reverse = _scan_reverse(inputs, direction, "lstm_scan")
-    zeros = np.zeros((inputs.shape[0], p.u_i.shape[0]))
-    return _lstm_kernel(inputs, Variable(zeros), Variable(zeros), p, reverse)[0]
+    out, zeros = np.empty(inputs.shape[:2] + (p.u_i.shape[0],)), np.zeros((inputs.shape[0], p.u_i.shape[0]))
+    bw, _c = _lstm_kernel(inputs, Variable(zeros), Variable(zeros), [(p, reverse, slice(None))], out)
+    return record("lstm_scan", Variable(out), bw)
 
 
-def _as_one_step(x_t: Variable, name: str) -> Variable:
+def _one_step(x_t: Variable, hidden: int, name: str) -> np.ndarray:
+    """Validate a cell step's input; the [batch, h] buffer for its new state."""
     if x_t.value.ndim != 2:
         raise ShapeError(f"{name} expects [batch, d], got {x_t.shape}")
-    return reshape(x_t, (x_t.shape[0], 1, x_t.shape[1]))
+    return np.empty((x_t.shape[0], hidden))
 
 
 def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
-    """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1."""
-    out = np.empty((x_t.shape[0], 1, p.u_r.shape[0]))
-    bw = _gru_kernel(_as_one_step(x_t, "gru_cell_step"), h_prev, [(p, False, slice(None))], out)
-    return record("gru_cell_step", Variable(out[:, 0]), lambda g: bw(g[:, None]))
+    """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1, as one tape node."""
+    out = _one_step(x_t, p.u_r.shape[0], "gru_cell_step")
+    return record("gru_cell_step", Variable(out), _gru_kernel(x_t, h_prev, [(p, False, slice(None))], out))
 
 
 def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: LstmParams) -> tuple[Variable, Variable]:
-    """One LSTM step, returning (h_t, c_t): the scan kernel at T=1."""
-    h_prev, c_prev = state_prev
-    h, c_t = _lstm_kernel(_as_one_step(x_t, "lstm_cell_step"), h_prev, c_prev, p, reverse=False)
-    return reshape(h, (h.shape[0], h.shape[2])), c_t
+    """One LSTM step, returning (h_t, c_t): the scan kernel at T=1 as one tape
+    node, and c_t as a second, whose backward only makes sure the kernel's runs
+    and reads c_t's gradient, so c gets gradient even when h_t was not used."""
+    out = _one_step(x_t, p.u_i.shape[0], "lstm_cell_step")
+    bw, c_t = _lstm_kernel(x_t, *state_prev, [(p, False, slice(None))], out)
+    h_t = record("lstm_cell_step", Variable(out), bw)
+    return h_t, record("lstm_cell_state", c_t, lambda _g: h_t.ensure_grad())
 
 
 def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
@@ -690,8 +699,25 @@ def mean_over_time(x: Variable, lengths: np.ndarray) -> Variable:
 
 
 # ---------------------------------------------------------------------------
-# Softmax head
+# Joins and the softmax head
 # ---------------------------------------------------------------------------
+
+def concat(parts: Sequence[Variable], axis: int) -> Variable:
+    """The parts joined along ``axis``; each part's gradient is its slab of the output's."""
+    if not parts:
+        raise ContractError("concat needs at least one part")
+    try:
+        out = Variable(np.concatenate([p.value for p in parts], axis=axis))
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        raise ShapeError(f"concat along axis {axis}: {exc}") from exc
+    bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
+
+    def bw(g: np.ndarray) -> None:
+        for p, slab in zip(parts, np.split(g, bounds, axis=axis)):
+            p.ensure_grad()[...] += slab
+
+    return record("concat", out, bw)
+
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row softmax of [batch, classes] logits, max-shifted so exp cannot overflow."""

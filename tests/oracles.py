@@ -7,15 +7,15 @@ cell step, each convolution position, the highway block, the MLP block or
 the softmax head from autodiff primitives, so their gradients come from the
 primitives' backward rules and check the fused kernels' hand-written
 backward passes. The primitives are defined first, for these graphs and the
-engine tests; the package itself records only kernels, besides ``concat``
-and ``reshape``.
+engine tests, ``reshape`` among them; the engine itself defines no ops, and
+the package records only kernels, ``layers.concat`` the one join.
 """
 
 import numpy as np
 
-from rcnnlab.autodiff import Variable, _stable_sigmoid, concat, record, reshape
+from rcnnlab.autodiff import Variable, _stable_sigmoid, record
 from rcnnlab.errors import ContractError, ShapeError
-from rcnnlab.layers import _softmax, _softmax_grad
+from rcnnlab.layers import _softmax, _softmax_grad, concat
 
 
 def matmul(a, b):
@@ -128,6 +128,18 @@ def sum_all(x):
         x.ensure_grad()[...] += g
 
     return record("sum_all", out, bw)
+
+
+def reshape(x, shape):
+    shape = tuple(shape)
+    if int(np.prod(shape, dtype=np.int64)) != x.value.size:
+        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
+    out = Variable(x.value.reshape(shape))
+
+    def bw(g):
+        x.ensure_grad()[...] += g.reshape(x.shape)
+
+    return record("reshape", out, bw)
 
 
 def slice_axis(x, axis, start, stop):

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
-    add, bias_add, matmul, max_over_axis, mul, one_minus, relu, sigmoid, slice_axis, sub, sum_all, tanh,
+    add, bias_add, matmul, max_over_axis, mul, one_minus, relu, reshape, sigmoid, slice_axis, sub, sum_all, tanh,
 )
 
 from rcnnlab import autodiff as ad
+from rcnnlab.layers import concat
 from rcnnlab.autodiff import Tape, Variable
 from rcnnlab.errors import ContractError, GradCheckError, ShapeError
 
@@ -144,18 +145,20 @@ class TestBiasAdd:
 
 
 class TestConcat:
+    """``layers.concat``, the join that models use; the engine defines no ops."""
+
     def test_simple(self):
-        out = ad.concat([Variable([[1.0, 2.0]]), Variable([[3.0]])], axis=-1)
+        out = concat([Variable([[1.0, 2.0]]), Variable([[3.0]])], axis=-1)
         np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0]])
 
     def test_dimension_arithmetic(self):
         parts = [Variable(np.zeros((5, 32))), Variable(np.zeros((5, 100))), Variable(np.zeros((5, 32)))]
-        assert ad.concat(parts, axis=1).shape == (5, 164)
+        assert concat(parts, axis=1).shape == (5, 164)
 
     def test_round_trip_at_offsets(self):
         rng = np.random.default_rng(2)
         arrays = [rng.normal(size=(2, w)) for w in (3, 1, 4)]
-        out = ad.concat([Variable(a) for a in arrays], axis=1)
+        out = concat([Variable(a) for a in arrays], axis=1)
         offsets = [0, 3, 4, 8]
         for a, lo, hi in zip(arrays, offsets[:-1], offsets[1:]):
             np.testing.assert_array_equal(out.value[:, lo:hi], a)
@@ -164,7 +167,7 @@ class TestConcat:
         a = Variable(np.zeros((2, 2)))
         b = Variable(np.zeros((2, 1)))
         with Tape() as tape:
-            joined = ad.concat([a, b], axis=1)
+            joined = concat([a, b], axis=1)
             loss = sum_all(mul(joined, Variable(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [4.0, 5.0]])
@@ -172,11 +175,11 @@ class TestConcat:
 
     def test_axis_out_of_range(self):
         with pytest.raises(ShapeError):
-            ad.concat([Variable(np.zeros(2))], axis=3)
+            concat([Variable(np.zeros(2))], axis=3)
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
-            ad.concat([Variable(np.zeros((2, 2))), Variable(np.zeros((3, 2)))], axis=1)
+            concat([Variable(np.zeros((2, 2))), Variable(np.zeros((3, 2)))], axis=1)
 
 
 class TestSliceReshape:
@@ -195,13 +198,13 @@ class TestSliceReshape:
     def test_reshape_round_trip_gradient(self):
         x = Variable(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
-            loss = sum_all(ad.reshape(ad.reshape(x, (6,)), (3, 2)))
+            loss = sum_all(reshape(reshape(x, (6,)), (3, 2)))
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_reshape_size_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.reshape(Variable(np.zeros((2, 3))), (7,))
+            reshape(Variable(np.zeros((2, 3))), (7,))
 
 
 class TestMaxOverAxis:
@@ -362,9 +365,9 @@ OPS_FOR_RANDOM_CHECK = [
     ("tanh", lambda v, aux: sum_all(tanh(v))),
     ("relu", lambda v, aux: sum_all(relu(v))),
     ("bias_add", lambda v, aux: sum_all(sigmoid(bias_add(v, Variable(aux[:v.shape[-1]]))))),
-    ("concat", lambda v, aux: sum_all(sigmoid(ad.concat([v, Variable(aux[:v.value.size].reshape(v.shape))], axis=1)))),
+    ("concat", lambda v, aux: sum_all(sigmoid(concat([v, Variable(aux[:v.value.size].reshape(v.shape))], axis=1)))),
     ("slice", lambda v, aux: sum_all(tanh(slice_axis(v, 1, 1, 3)))),
-    ("reshape", lambda v, aux: sum_all(sigmoid(ad.reshape(v, (v.value.size,))))),
+    ("reshape", lambda v, aux: sum_all(sigmoid(reshape(v, (v.value.size,))))),
     ("max", lambda v, aux: sum_all(max_over_axis(v, 1)[0])),
 ]
 
@@ -397,10 +400,10 @@ PRIMITIVE_ALGEBRA = ("matmul", "add", "mul", "_same_shape", "sigmoid", "relu", "
 
 
 def test_primitive_algebra_stays_out_of_the_package():
-    """The package records only kernels, plus concat and reshape: autodiff
-    defines none of the primitives the oracles keep, Variable has no
-    arithmetic sugar, and no package module imports a primitive."""
-    assert [n for n in PRIMITIVE_ALGEBRA if hasattr(ad, n)] == []
+    """The package records only kernels, and the engine holds no ops: autodiff
+    defines none of the primitives the oracles keep, nor concat or reshape,
+    Variable has no arithmetic sugar, and no package module imports a primitive."""
+    assert [n for n in (*PRIMITIVE_ALGEBRA, "concat", "reshape") if hasattr(ad, n)] == []
     assert [m for m in ("__add__", "__mul__", "__matmul__") if hasattr(Variable, m)] == []
     for path in sorted(Path(ad.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -35,6 +35,21 @@ def fast_flags():
             "--seq-len", "10", "--epochs", "1", "--min-freq", "1"]
 
 
+@pytest.fixture()
+def blank_tsv(tmp_path):
+    path = tmp_path / "blank.tsv"
+    path.write_text("\n\n", encoding="utf-8")
+    return path
+
+
+def assert_rejected_before_training(capsys, source, out):
+    """Exit 3 named the empty split, and nothing trained or was written."""
+    err = capsys.readouterr().err
+    assert f"no examples to evaluate on in {source}" in err
+    assert "training" not in err and " of [" not in err
+    assert not out.exists()
+
+
 class TestTrain:
     def test_writes_report_checkpoint_vocab(self, toy_tsv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -175,6 +190,16 @@ class TestTrain:
                      "--out", str(out), *fast_flags()]) == 0
         assert json.loads((out / "report.json").read_text())["config"]["lr"] == 1
 
+    def test_review_directory_with_empty_test_split_exits_three(self, tmp_path, capsys):
+        root = tmp_path / "reviews"
+        for split, sub in [("train", "pos"), ("train", "neg"), ("test", "pos"), ("test", "neg")]:
+            (root / split / sub).mkdir(parents=True)
+        for i in range(6):
+            (root / "train" / ("pos" if i % 2 else "neg") / f"{i}.txt").write_text(f"a fine film {i}", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(root), "--model", "cow", "--out", str(out), *fast_flags()]) == 3
+        assert_rejected_before_training(capsys, root / "test", out)
+
 
 class TestEval:
     @pytest.fixture()
@@ -208,6 +233,13 @@ class TestEval:
         sizes = [len(Vocabulary.load(v)) for v in (short, trained / "vocab.txt")]
         assert f"has {sizes[0]} entries" in captured.err
         assert f"trained with {sizes[1]}" in captured.err
+
+    def test_empty_data_is_data_error(self, trained, blank_tsv, capsys):
+        code = main(["eval", "--checkpoint", str(trained / "model.rchw"), "--data", str(blank_tsv)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "accuracy=" not in captured.out
+        assert f"no examples to evaluate on in {blank_tsv}" in captured.err
 
     def test_seq_len_conflict(self, trained, toy_tsv):
         assert main(["eval", "--checkpoint", str(trained / "model.rchw"),
@@ -271,6 +303,13 @@ class TestCompare:
         assert main(["compare", "--data", str(toy_tsv), "--models", ",",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_empty_test_data_exits_three_before_training(self, toy_tsv, blank_tsv, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--data", str(toy_tsv), "--test-data", str(blank_tsv), "--models", "cow,rcnn",
+                     "--out", str(out), *fast_flags()])
+        assert code == 3
+        assert_rejected_before_training(capsys, blank_tsv, out)
+
 
 class TestSweep:
     def test_single_length(self, toy_tsv, tmp_path):
@@ -284,6 +323,13 @@ class TestSweep:
     def test_non_numeric_length(self, toy_tsv, tmp_path):
         assert main(["sweep", "--data", str(toy_tsv), "--model", "cow",
                      "--lengths", "ten", "--out", str(tmp_path / "x")]) == 2
+
+    def test_empty_test_data_exits_three_before_training(self, toy_tsv, blank_tsv, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--data", str(toy_tsv), "--test-data", str(blank_tsv), "--model", "cow",
+                     "--lengths", "8", "--out", str(out), *fast_flags()])
+        assert code == 3
+        assert_rejected_before_training(capsys, blank_tsv, out)
 
 
 class TestGradcheck:

@@ -373,11 +373,18 @@ class TestFusedScans:
         assert np.abs(grads[2]).max() > 0.0
 
     def test_one_tape_node_per_scan(self):
+        """Each scan and the GRU step are one node; the LSTM step adds one for its cell state."""
         rng = np.random.default_rng(43)
-        p = L.GruParams.create(rng, 2, 3)
-        with Tape() as tape:
-            L.gru_scan(Variable(rng.uniform(-1, 1, (2, 9, 2))), p, "backward")
-        assert len(tape) == 1
+        gru, lstm = L.GruParams.create(rng, 2, 3), L.LstmParams.create(rng, 2, 3)
+        x, x_t, h = (Variable(rng.uniform(-1, 1, shape)) for shape in ((2, 9, 2), (2, 2), (2, 3)))
+        calls = [
+            (lambda: L.gru_scan(x, gru, "backward"), 1), (lambda: L.lstm_scan(x, lstm, "backward"), 1),
+            (lambda: L.gru_cell_step(x_t, h, gru), 1), (lambda: L.lstm_cell_step(x_t, (h, h), lstm), 2),
+        ]
+        for call, nodes in calls:
+            with Tape() as tape:
+                call()
+            assert len(tape) == nodes
 
     @pytest.mark.parametrize("cls,scan", [(L.GruParams, L.gru_scan), (L.LstmParams, L.lstm_scan)])
     def test_gradient_lands_on_the_forward_variables(self, cls, scan):
@@ -483,7 +490,8 @@ class TestBirnnContext:
 
 
 class TestKernelProperties:
-    """Both GRU kernels against their taped references over random small shapes.
+    """The recurrent kernels, both GRU ones and the LSTM scan, against their
+    taped references over random small shapes.
 
     A gradient whose terms nearly cancel (a bias summed over few positions)
     can be far smaller than the terms; its rounding is then measured against
@@ -497,15 +505,18 @@ class TestKernelProperties:
     )
     @example(batch=1, steps=1, in_dim=1, hidden=1, direction="backward", seed=0)
     @example(batch=9, steps=9, in_dim=5, hidden=5, direction="forward", seed=1)
-    def test_gru_kernels_match_taped_references(self, batch, steps, in_dim, hidden, direction, seed):
+    def test_recurrent_kernels_match_taped_references(self, batch, steps, in_dim, hidden, direction, seed):
         rng = np.random.default_rng(seed)
         pair = gru_pair(rng, in_dim, hidden)
         x = rng.uniform(-1, 1, (batch, steps, in_dim))
+        lstm = random_params(L.LstmParams, rng, in_dim, hidden)
         cases = [
             (lambda xs: L.gru_scan(xs, pair[0], direction), lambda xs: taped_gru_scan(xs, pair[0], direction),
              pair[0], hidden),
             (lambda xs: L.birnn_context(xs, *pair), lambda xs: taped_birnn_context(xs, *pair), pair,
              2 * hidden + in_dim),
+            (lambda xs: L.lstm_scan(xs, lstm, direction), lambda xs: taped_lstm_scan(xs, lstm, direction), lstm,
+             hidden),
         ]
         for kernel, reference, params, width in cases:
             w = rng.normal(size=(batch, steps, width))
