@@ -3,11 +3,12 @@
 A layer target draws its tensors as Variables and gives the function of them
 to check. The loss is that function's projection onto a random cotangent w,
 <w, f(...)>, as in JAX's ``check_grads``: a transposed or misrouted backward
-shows, where a uniform sum over the output can hide it. ``_redraw`` draws
-again while a draw lies within finite-difference reach of a relu kink or a
-max-pool tie, or has a gradient below its resolution, and ``_worst``
-differences each Variable of the draw in place in turn and keeps the largest
-error. So the checks hold for any seed, not just the shipped defaults.
+shows, where a uniform sum over the output can hide it. A function with
+several outputs, such as an LSTM step's (h, c), gets one cotangent each.
+``_redraw`` draws again while a draw lies within finite-difference reach of a
+relu kink or a max-pool tie, or has a gradient below its resolution, and
+``_worst`` differences each Variable of the draw in place in turn and keeps the
+largest error. So the checks hold for any seed, not just the shipped defaults.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def _clear_of_ties(a: np.ndarray) -> bool:
     return bool((top2[:, 1] - top2[:, 0]).min() >= _KINK_MARGIN)
 
 
-def _projection(out: Variable, w: np.ndarray) -> Variable:
-    """The scalar <w, out>; its backward hands ``out`` the cotangent w."""
-    result = Variable(np.sum(w * out.value))
+def _projection(outs: tuple[Variable, ...], ws: list[np.ndarray]) -> Variable:
+    """The scalar sum of <w, out> over the outputs; its backward hands each its own cotangent w."""
+    result = Variable(sum(np.sum(w * out.value) for w, out in zip(ws, outs)))
 
     def bw(g: np.ndarray) -> None:
-        out.ensure_grad()[...] += g * w
+        for w, out in zip(ws, outs):
+            out.ensure_grad()[...] += g * w
 
     return record("projection", result, bw)
 
@@ -98,16 +100,17 @@ def _worst(variables: list[Variable], loss) -> float:
 
 
 def _check(target, rng: np.random.Generator) -> float:
-    """Worst error of ``target(rng) -> (variables, f, clear)``, projected onto
-    a standard normal cotangent, on its first resolvable draw. The cotangents
-    come from a child of rng's seed, so they leave rng's own stream to the
-    target's tensors."""
+    """Worst error of ``target(rng) -> (variables, f, clear)``, projected onto a
+    standard normal cotangent for each output of f (a Variable, or a tuple of
+    them), on its first resolvable draw. The cotangents come from a child of
+    rng's seed, so they leave rng's own stream to the target's tensors."""
     cotangents = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
 
     def draw():
         variables, f, clear = target(rng)
-        w = cotangents.standard_normal(f().shape)
-        return variables, lambda: _projection(f(), w), clear
+        outs = f if isinstance(f(), tuple) else lambda: (f(),)
+        ws = [cotangents.standard_normal(out.shape) for out in outs()]
+        return variables, lambda: _projection(outs(), ws), clear
 
     return _worst(*_redraw(draw, _GRAD_FLOOR))
 
@@ -130,15 +133,15 @@ def _lstm_cell(rng):
     batch, in_dim, hidden = 2, 2, 3
     p = L.LstmParams.create(rng, in_dim, hidden)
     x, h, c = (Variable(_uniform(rng, batch, d)) for d in (in_dim, hidden, hidden))
-    return [x, h, c, *_tensors(p)], lambda: L.concat(L.lstm_cell_step(x, (h, c), p), axis=1), True
+    return [x, h, c, *_tensors(p)], lambda: L.lstm_cell_step(x, (h, c), p), True
 
 
 def _scan(rng, cls, scan):
-    """Both directions of ``scan``, side by side."""
+    """Both directions of ``scan``, as two outputs."""
     batch, steps, in_dim, hidden = 2, 3, 2, 3
     p = cls.create(rng, in_dim, hidden)
     x = Variable(_uniform(rng, batch, steps, in_dim))
-    return [x, *_tensors(p)], lambda: L.concat([scan(x, p, d) for d in ("forward", "backward")], axis=2), True
+    return [x, *_tensors(p)], lambda: tuple(scan(x, p, d) for d in ("forward", "backward")), True
 
 
 def _birnn_context(rng):

@@ -144,7 +144,6 @@ def train(
     encoded = encode_dataset(train_set, vocab, seq_len)
     report = RunReport(model_kind=config.spec.kind, config=config.to_dict())
 
-    best_snapshot = {name: p.value.copy() for name, p in model.params.items()}
     stale = 0
     for epoch in range(config.epochs):
         started = time.perf_counter()

@@ -305,17 +305,19 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
     xw += r.b
     (hs,) = r.tracks
     rz, rh, cand = np.empty((steps, 2 * n, batch)), np.empty((steps, n, batch)), np.empty((steps, n, batch))
-    for t in range(steps):
-        h, a, c, h_next = hs[t], rz[t], cand[t], hs[t + 1]
-        np.matmul(u_t[: 2 * n], h, out=a)
-        a += xw[t, : 2 * n]
+    u_rz, u_c = u_t[: 2 * n], u_t[2 * n :]
+    # Each step's views, built once: the loop is bound by per-call overhead at desk size.
+    views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], xw[:, : 2 * n], xw[:, 2 * n :])
+    for h, a, r_t, z_t, rh_t, c, h_next, xw_rz, xw_c in views:
+        np.matmul(u_rz, h, out=a)
+        a += xw_rz
         _stable_sigmoid(a, out=a)
-        np.multiply(a[:n], h, out=rh[t])
-        np.matmul(u_t[2 * n :], rh[t], out=c)
-        c += xw[t, 2 * n :]
+        np.multiply(r_t, h, out=rh_t)
+        np.matmul(u_c, rh_t, out=c)
+        c += xw_c
         np.tanh(c, out=c)
         np.subtract(h, c, out=h_next)  # h' = cand + z*(h - cand)
-        h_next *= a[n:]
+        h_next *= z_t
         h_next += c
     r.write_bands(out, hs)
 
@@ -325,14 +327,14 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
         s = rz * (1.0 - rz)
         da = np.concatenate([s[:, :n] * hs[:-1], s[:, n:] * (hs[:-1] - cand), (1 - rz[:, n:]) * (1 - cand * cand)], 1)
         carry, mixed = np.zeros((2 * n, batch)), np.empty((2 * n, batch))  # carry is [dL/d(r*h); dL/dh]
-        drh, dh = carry[:n], carry[n:]
-        for t in range(steps - 1, -1, -1):
-            dh += gs[t]
-            da[t, 2 * n :] *= dh
-            np.matmul(u_t[2 * n :].T, da[t, 2 * n :], out=drh)
-            da[t, : 2 * n] *= carry
-            np.multiply(carry, rz[t], out=mixed)  # [drh*r; dh*z]
-            np.matmul(u_t[: 2 * n].T, da[t, : 2 * n], out=dh)
+        drh, dh, u_rz_t, u_c_t = carry[:n], carry[n:], u_rz.T, u_c.T
+        for g_t, da_rz, da_c, rz_t in zip(gs[::-1], da[::-1, : 2 * n], da[::-1, 2 * n :], rz[::-1]):
+            dh += g_t
+            da_c *= dh
+            np.matmul(u_c_t, da_c, out=drh)
+            da_rz *= carry
+            np.multiply(carry, rz_t, out=mixed)  # [drh*r; dh*z]
+            np.matmul(u_rz_t, da_rz, out=dh)
             dh += mixed[n:]
             dh += mixed[:n]
         del gs, s  # dead: freed before credit allocates, which lowers the peak heap
@@ -358,37 +360,37 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
     xw = r.project()
     hs, cs = r.tracks
     gates, tc = np.empty((steps, 4 * n, batch)), np.empty((steps, n, batch))
-    for t in range(steps):
-        a, c_next = gates[t], cs[t + 1]
-        np.matmul(u_t, hs[t], out=a)
-        a += xw[t]
+    i, f, o, c = np.split(gates, 4, axis=1)
+    views = zip(hs[:-1], cs[:-1], gates, xw, gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
+    for h, c_prev, a, xw_t, sig, i_t, f_t, o_t, c_t, c_next, tc_t, h_next in views:
+        np.matmul(u_t, h, out=a)
+        a += xw_t
         a += r.b
-        _stable_sigmoid(a[: 3 * n], out=a[: 3 * n])
-        np.tanh(a[3 * n :], out=a[3 * n :])
-        np.multiply(a[n : 2 * n], cs[t], out=c_next)
-        c_next += a[:n] * a[3 * n :]
-        np.tanh(c_next, out=tc[t])
-        np.multiply(a[2 * n : 3 * n], tc[t], out=hs[t + 1])
+        _stable_sigmoid(sig, out=sig)
+        np.tanh(c_t, out=c_t)
+        np.multiply(f_t, c_prev, out=c_next)
+        c_next += i_t * c_t
+        np.tanh(c_next, out=tc_t)
+        np.multiply(o_t, tc_t, out=h_next)
     r.write_bands(out, hs)
     c_last = Variable(np.ascontiguousarray(cs[steps].T))
 
     def bw(g: np.ndarray) -> None:
         gs = r.read_bands(g)
-        i, f, o, c = np.split(gates, 4, axis=1)
         # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation.
         k = np.concatenate([c * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - c * c)], 1)
         k_cell = o * (1.0 - tc * tc)
         da, carry = np.empty((steps, 4 * n, batch)), np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
-        dc, dh = carry[0], carry[2]
+        dc, dh, flat, u = carry[0], carry[2], carry.reshape(4 * n, batch), u_t.T
         if c_last.grad is not None:
             dc[...] = c_last.grad.T
-        for t in range(steps - 1, -1, -1):
-            dh += gs[t]
-            dc += dh * k_cell[t]
+        for g_t, k_cell_t, k_t, da_t, f_t in zip(gs[::-1], k_cell[::-1], k[::-1], da[::-1], f[::-1]):
+            dh += g_t
+            dc += dh * k_cell_t
             carry[1::2] = dc
-            np.multiply(carry.reshape(4 * n, batch), k[t], out=da[t])
-            dc *= f[t]
-            np.matmul(u_t.T, da[t], out=dh)
+            np.multiply(flat, k_t, out=da_t)
+            dc *= f_t
+            np.matmul(u, da_t, out=dh)
         del gs, k, k_cell  # as in the GRU's backward
         r.credit(da, [(hs[:-1], 4)], dh, dc)
 

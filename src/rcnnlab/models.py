@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -129,6 +130,7 @@ class Model:
     def __init__(self, spec: ModelSpec, blocks: dict):
         self.spec = spec
         self.blocks = blocks
+        self.wiring = _architecture(spec)[2]
         self.params: dict[str, Variable] = {}
         for block_name, block in blocks.items():
             for sub_name, sub in ([(f"{block_name}{i}", s) for i, s in enumerate(block)] if isinstance(block, list) else [(block_name, block)]):
@@ -146,75 +148,62 @@ class Model:
         spec = self.spec
         if batch.seq_len != spec.seq_len:
             raise ContractError(f"batch seq_len {batch.seq_len} does not match model seq_len {spec.seq_len}")
-        blocks = self.blocks
         # cow's bag of words is the embedding's pooled form: one node, [B, D].
-        x = L.embed(batch, blocks["embedding"], pool=spec.kind == "cow")
+        x = L.embed(batch, self.blocks["embedding"], pool=spec.kind == "cow")
+        head = self.blocks["head"]
+        return L.dense_softmax(self.wiring(self.blocks, x, batch), head.w, head.b)
 
-        if spec.kind == "cow":
-            pooled = x
-        elif spec.kind == "lstm-avg":
-            states = L.lstm_scan(x, blocks["lstm"], "forward")
-            pooled = L.mean_over_time(states, batch.lengths)
-        elif spec.kind == "bilstm-avg":
-            fwd = L.lstm_scan(x, blocks["lstm_fwd"], "forward")
-            bwd = L.lstm_scan(x, blocks["lstm_bwd"], "backward")
-            pooled = L.mean_over_time(L.concat([fwd, bwd], axis=2), batch.lengths)
-        elif spec.kind == "cnn":
-            pooled = L.concat([L.conv1d_forward(x, conv, pool=True) for conv in blocks["convs"]], axis=1)
-        elif spec.kind == "cnn-lstm":
-            fmap = L.conv1d_forward(x, blocks["conv"])
-            states = L.lstm_scan(fmap, blocks["lstm"], "forward")
-            full = np.full(batch.size, states.shape[1], dtype=np.int64)
-            pooled = L.mean_over_time(states, full)
-        elif spec.kind in ("rcnn", "rcnn-hw"):
-            context = L.birnn_context(x, blocks["gru_fwd"], blocks["gru_bwd"])
-            if spec.kind == "rcnn-hw":
-                for hw in blocks.get("highway", []):
-                    context = L.highway_forward(context, hw)
-                if spec.mlp_instead_of_highway:
-                    context = L.dense_relu_positions(context, blocks["mlp"])
-            pooled = L.conv1d_forward(context, blocks["conv"], pool=True)
-        else:  # pragma: no cover - validate() forbids this
-            raise ConfigError(f"unknown kind {spec.kind!r}")
 
-        head = blocks["head"]
-        return L.dense_softmax(pooled, head.w, head.b)
+def _architecture(spec: ModelSpec) -> tuple[dict, int, Callable]:
+    """The kind's blocks between the embedding and the head, as in ``_blocks``,
+    the width they hand the head, and their wiring ``(blocks, x, batch) -> [B,
+    width]``. A wiring looks each layer up as ``L.<name>`` when it runs, so a
+    layer function swapped in after the model is built is the one it calls."""
+    e, h, f = spec.embed_dim, spec.hidden_dim, spec.num_filters
+    if spec.kind == "cow":
+        return {}, e, lambda blocks, x, batch: x
+    if spec.kind == "lstm-avg":
+        def wiring(blocks, x, batch):
+            return L.mean_over_time(L.lstm_scan(x, blocks["lstm"], "forward"), batch.lengths)
+        return {"lstm": (L.LstmParams, (e, h))}, h, wiring
+    if spec.kind == "bilstm-avg":
+        def wiring(blocks, x, batch):
+            states = [L.lstm_scan(x, blocks["lstm_fwd"], "forward"), L.lstm_scan(x, blocks["lstm_bwd"], "backward")]
+            return L.mean_over_time(L.concat(states, axis=2), batch.lengths)
+        return dict.fromkeys(("lstm_fwd", "lstm_bwd"), (L.LstmParams, (e, h))), 2 * h, wiring
+    if spec.kind == "cnn":
+        def wiring(blocks, x, batch):
+            return L.concat([L.conv1d_forward(x, conv, pool=True) for conv in blocks["convs"]], axis=1)
+        return {"convs": [(L.ConvParams, (w, e, f)) for w in spec.cnn_windows]}, len(spec.cnn_windows) * f, wiring
+    if spec.kind == "cnn-lstm":
+        def wiring(blocks, x, batch):
+            states = L.lstm_scan(L.conv1d_forward(x, blocks["conv"]), blocks["lstm"], "forward")
+            return L.mean_over_time(states, np.full(batch.size, states.shape[1], dtype=np.int64))
+        return {"conv": (L.ConvParams, (spec.cnn_lstm_window, e, f)), "lstm": (L.LstmParams, (f, h))}, h, wiring
+
+    def wiring(blocks, x, batch):  # rcnn, and rcnn-hw with its highway stack or mlp block
+        context = L.birnn_context(x, blocks["gru_fwd"], blocks["gru_bwd"])
+        for hw in blocks.get("highway", []):
+            context = L.highway_forward(context, hw)
+        if "mlp" in blocks:
+            context = L.dense_relu_positions(context, blocks["mlp"])
+        return L.conv1d_forward(context, blocks["conv"], pool=True)
+    d = spec.context_dim
+    plan = dict.fromkeys(("gru_fwd", "gru_bwd"), (L.GruParams, (e, h)))
+    if spec.highway_layers:
+        plan["highway"] = [(L.HighwayParams, (d,))] * spec.highway_layers
+    if spec.mlp_instead_of_highway:
+        plan["mlp"] = (L.DenseParams, (d, d))
+    return {**plan, "conv": (L.ConvParams, (1, d, f))}, f, wiring
 
 
 def _blocks(spec: ModelSpec) -> dict:
-    """Each block's container class and ``create`` arguments, in draw order.
-    A list stands for a numbered stack (``convs0``, ``highway1``)."""
+    """Each block's container class and ``create`` arguments, in draw order: the
+    embedding, the kind's blocks, the head. A list is a numbered stack (``convs0``)."""
     spec.validate()
-    e, h, f = spec.embed_dim, spec.hidden_dim, spec.num_filters
-    plan: dict = {"embedding": (L.EmbeddingParams, (spec.vocab_size, e))}
-
-    if spec.kind == "cow":
-        head_in = e
-    elif spec.kind == "lstm-avg":
-        plan["lstm"] = (L.LstmParams, (e, h))
-        head_in = h
-    elif spec.kind == "bilstm-avg":
-        plan["lstm_fwd"] = plan["lstm_bwd"] = (L.LstmParams, (e, h))
-        head_in = 2 * h
-    elif spec.kind == "cnn":
-        plan["convs"] = [(L.ConvParams, (w, e, f)) for w in spec.cnn_windows]
-        head_in = len(spec.cnn_windows) * f
-    elif spec.kind == "cnn-lstm":
-        plan["conv"] = (L.ConvParams, (spec.cnn_lstm_window, e, f))
-        plan["lstm"] = (L.LstmParams, (f, h))
-        head_in = h
-    else:  # rcnn / rcnn-hw
-        plan["gru_fwd"] = plan["gru_bwd"] = (L.GruParams, (e, h))
-        d = spec.context_dim
-        if spec.highway_layers:
-            plan["highway"] = [(L.HighwayParams, (d,))] * spec.highway_layers
-        if spec.mlp_instead_of_highway:
-            plan["mlp"] = (L.DenseParams, (d, d))
-        plan["conv"] = (L.ConvParams, (1, d, f))
-        head_in = f
-
-    plan["head"] = (L.DenseParams, (head_in, spec.num_classes))
-    return plan
+    plan, width, _wiring = _architecture(spec)
+    embedding, head = (L.EmbeddingParams, (spec.vocab_size, spec.embed_dim)), (L.DenseParams, (width, spec.num_classes))
+    return {"embedding": embedding, **plan, "head": head}
 
 
 def build_model(spec: ModelSpec, rng_seed: int) -> Model:

@@ -35,7 +35,7 @@ SIZES = {
     "small": {"seq_len": 16, "embed_dim": 6, "hidden_dim": 3, "num_filters": 5},
     "desk": {"seq_len": 64, "embed_dim": 16, "hidden_dim": 8, "num_filters": 32},
 }
-DESK_NAMES = ("cnn", "rcnn", "rcnn-hw", "rcnn-hw-2", "rcnn-hw-mlp")
+DESK_NAMES = ("cnn", "rcnn", "rcnn-hw", "rcnn-hw-2", "rcnn-hw-mlp", "lstm-avg", "bilstm-avg", "cnn-lstm")
 
 CASES = [f"{name}/{opt}/small" for name in (*KINDS, *ABLATION_VARIANTS) for opt in sorted(OPTIMIZERS)]
 CASES += [f"{name}/rmsprop/desk" for name in DESK_NAMES]

@@ -1,15 +1,16 @@
 """Model builder tests: wiring, parameter counts, determinism, and a fully
 independent step-by-step oracle for the tiny highway model."""
 
+import inspect
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from oracles import tiny_forward_oracle
+from oracles import taped_lstm_scan, tiny_forward_oracle
 
 from rcnnlab import checks
 from rcnnlab import layers as L
-from rcnnlab.autodiff import Variable
+from rcnnlab.autodiff import Tape, Variable
 from rcnnlab.data import EncodedBatch
 from rcnnlab.errors import ConfigError, ContractError
 from rcnnlab.models import ABLATION_VARIANTS, KINDS, ModelSpec, build_model, count_params, resolve_model
@@ -149,6 +150,20 @@ class TestForward:
         expected = e / e.sum()
         np.testing.assert_allclose(probs[0], expected, atol=1e-9)
 
+    def test_bilstm_avg_scans_each_block_in_its_own_direction(self):
+        """lstm_fwd reads left to right and lstm_bwd right to left, as the taped
+        step-by-step reference scans do; the mean runs over each true length."""
+        model = build_model(small_spec("bilstm-avg"), rng_seed=5)
+        batch = make_batch([[1, 2, 3, 4, 5, 6], [7, 8, 9, 0, 0, 0]], lengths=[6, 3])
+        blocks = model.blocks
+        x = Variable(blocks["embedding"].table.value[batch.ids])
+        fwd = taped_lstm_scan(x, blocks["lstm_fwd"], "forward").value
+        bwd = taped_lstm_scan(x, blocks["lstm_bwd"], "backward").value
+        pooled = np.stack([np.concatenate([f[:n], b[:n]], axis=1).mean(axis=0) for f, b, n in zip(fwd, bwd, batch.lengths)])
+        logits = pooled @ blocks["head"].w.value + blocks["head"].b.value
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(model.forward(batch).value, e / e.sum(axis=1, keepdims=True), atol=1e-12)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
@@ -160,6 +175,58 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.params[name].value, b.params[name].value)
         batch = make_batch([[1, 2, 3, 4, 5, 6]])
         np.testing.assert_array_equal(a.forward(batch).value, b.forward(batch).value)
+
+
+_RCNN = {"embed", "birnn_context", "conv1d_forward", "dense_softmax"}
+_LSTM_AVG = {"embed", "lstm_scan", "mean_over_time", "dense_softmax"}
+LAYER_CALLS = {
+    "cow": {"embed", "dense_softmax"},
+    "lstm-avg": _LSTM_AVG,
+    "bilstm-avg": _LSTM_AVG | {"concat"},
+    "cnn": {"embed", "conv1d_forward", "concat", "dense_softmax"},
+    "cnn-lstm": _LSTM_AVG | {"conv1d_forward"},
+    "rcnn": _RCNN,
+    "rcnn-hw": _RCNN | {"highway_forward"},
+    "rcnn-hw-0": _RCNN,
+    "rcnn-hw-1": _RCNN | {"highway_forward"},
+    "rcnn-hw-2": _RCNN | {"highway_forward"},
+    "rcnn-hw-mlp": _RCNN | {"dense_relu_positions"},
+}
+
+
+class TestLayerLookup:
+    """A tracer may wrap the ``layers`` functions after a model is built, as
+    ``bench/tracer.py`` does with ``setattr``. The forward must still call the
+    wrappers, so that each tape node is recorded inside one of them."""
+
+    @pytest.mark.parametrize("name", list(LAYER_CALLS))
+    def test_every_tape_node_is_recorded_inside_a_wrapped_layer_call(self, name, monkeypatch):
+        model = build_model(resolve_model(name, small_spec("cnn")), rng_seed=0)
+        tape, called, owned, depth = Tape(), set(), 0, 0
+
+        def wrap(fn_name, fn):
+            def wrapped(*args, **kwargs):
+                nonlocal owned, depth
+                depth, before = depth + 1, len(tape)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth -= 1
+                    if depth == 0:  # the outermost call owns the nodes, as the tracer counts them
+                        called.add(fn_name)
+                        owned += len(tape) - before
+            return wrapped
+
+        for fn_name, fn in list(vars(L).items()):
+            if inspect.isfunction(fn) and fn.__module__ == L.__name__ and not fn_name.startswith("_"):
+                monkeypatch.setattr(L, fn_name, wrap(fn_name, fn))
+        with tape:
+            model.forward(make_batch([[1, 2, 3, 4, 5, 6], [7, 8, 9, 0, 0, 0]], lengths=[6, 3]))
+        assert called == LAYER_CALLS[name]
+        assert owned == len(tape) > 0
+
+    def test_every_model_name_is_listed(self):
+        assert set(LAYER_CALLS) == {*KINDS, *ABLATION_VARIANTS}
 
 
 class TestCountParams:
