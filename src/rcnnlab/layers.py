@@ -19,6 +19,11 @@ from .autodiff import Variable, _stable_sigmoid, record
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
+# Forward block sizes, by medians (2-core Xeon, 1 BLAS thread). birnn_context [64, 500, 16], h=8: 42.6 / 42.1 / 45.4 / 45.2 ms at
+# 16 / 32 / 64 steps / whole. highway_forward [16000, 32]: 12.1 / 11.9 / 12.0 / 12.5 / 16.3 ms at 256 / 512 / 1,024 / 2,048 rows / whole.
+TIME_BLOCK = 32
+ROW_BLOCK = 512
+
 
 # ---------------------------------------------------------------------------
 # Parameter containers and initialization
@@ -166,16 +171,19 @@ def _add_row_sums(table: Variable, rows: np.ndarray, sums: np.ndarray) -> None:
 
 
 def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
-    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order:
-    one bincount over the U·D cells of the U rows used."""
+    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order: one
+    bincount over the U·D cells of the U rows used, or over all V·D if the table has no gradient yet."""
     _check_ids(ids, table.shape[0])
     out = Variable(table.value[ids])
 
     def bw(g: np.ndarray) -> None:
-        (rows, inverse), width = _rows_used(ids, table.shape[0]), table.shape[1]
-        cells = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        sums = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size * width)
-        _add_row_sums(table, rows, sums.reshape(rows.size, width))
+        (rows, inverse), (vocab, width) = _rows_used(ids, table.shape[0]), table.shape
+        at, count = (ids, vocab) if table.grad is None else (inverse, rows.size)
+        cells = (at.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(cells, weights=g.reshape(-1), minlength=count * width).reshape(count, width)
+        if table.grad is not None:
+            return _add_row_sums(table, rows, sums)
+        table.grad, table.grad_rows = sums, rows  # the sums over all V·D cells: no zero fill, no scatter
 
     return record("embedding_lookup", out, bw)
 
@@ -209,8 +217,8 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
 # exactly as a forward scan of the reversed input. Cell steps are the T=1 case.
 
 def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """[B, T, k] in time order -> contiguous [T, B, k] in processing order."""
-    return np.ascontiguousarray((a[:, ::-1] if reverse else a).transpose(1, 0, 2))
+    """[B, T, k] in time order -> [T, B, k] in processing order, as a view."""
+    return (a[:, ::-1] if reverse else a).transpose(1, 0, 2)
 
 
 def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
@@ -228,8 +236,7 @@ class _Recurrence:
     """k directions, one (params, reverse, band) in ``dirs`` each, in one loop over
     inputs x [B, T, d] from states [B, n], n = k·h. The G gates of a cls cell
     stack gate-major and block-diagonal over the directions: W [k·d, G·n], Uᵀ
-    [G·n, n], b [G·n, 1]. Steps are feature-major, [·, B], so a gate is a block
-    of rows. One matmul projects all inputs, and one credits each gradient."""
+    [G·n, n], b tiled [G·n, B]. Steps are feature-major, [·, B]: a gate is rows."""
 
     def __init__(self, name: str, cls, x: Variable, states: tuple[Variable, ...], dirs):
         # Captured now: backward credits the Variables this forward read, even if
@@ -246,23 +253,29 @@ class _Recurrence:
         w, u, b = np.zeros((k, width, gates, k, hidden)), np.zeros((k, hidden, gates, k, hidden)), np.empty((gates, k, hidden))
         for j, vs in enumerate(self.params):
             w[j, :, :, j], u[j, :, :, j], b[:, j] = (np.stack([v.value for v in vs[i : i + gates]], axis=-2) for i in (0, gates, 2 * gates))
-        self.w, self.u_t, self.b = w.reshape(k * width, gates * n), np.ascontiguousarray(u.reshape(n, gates * n).T), b.reshape(-1, 1)
-        # [T, B, k·d]: each direction's input in its processing order.
+        self.w, self.u_t = w.reshape(k * width, gates * n), np.ascontiguousarray(u.reshape(n, gates * n).T)
+        # [T, B, k·d]: each direction's input in its processing order, copied once from views.
         self.xs = np.concatenate([_time_major(_steps(x.value), reverse) for _p, reverse, _band in dirs], axis=2)
-        self.dims, self.steps, self.n, self.batch = (k, width, gates, hidden), steps, n, batch
+        self.b, self.dims, self.steps, self.n, self.batch = np.tile(b.reshape(-1, 1), batch), (k, width, gates, hidden), steps, n, batch
         # Each state's buffer, [T+1, n, B]: [t] is the state step t reads.
         self.tracks = [np.empty((steps + 1, n, batch)) for _s in states]
         for a, s in zip(self.tracks, states):
             a[0] = s.value.T
 
-    def project(self) -> np.ndarray:
-        """x·W for every step, [T, G·n, B], without the biases."""
-        return np.matmul(self.w.T, self.xs.transpose(0, 2, 1))
+    def project(self, fold_bias: bool, *cuts: int):
+        """Each step's x·W (+ b with ``fold_bias``), its [G·n, B] rows split at ``cuts``: views into one reused time block."""
+        xw = np.empty((min(TIME_BLOCK, self.steps), len(self.b), self.batch))
+        for lo in range(0, self.steps, TIME_BLOCK):
+            block = np.matmul(self.w.T, self.xs[lo : lo + TIME_BLOCK].transpose(0, 2, 1), out=xw[: self.steps - lo])
+            if fold_bias:
+                block += self.b
+            yield from zip(*np.split(block, cuts, axis=1))
 
     def write_bands(self, out: np.ndarray, hs: np.ndarray) -> None:
-        """Each direction's states, hs[1:], into its band of out in time order."""
-        for (_p, reverse, band), h in zip(self.dirs, np.split(hs[1:], len(self.dirs), axis=1)):
-            _steps(out)[:, :, band] = _batch_major(h.transpose(0, 2, 1), reverse)
+        """Each direction's states, hs[1:], into its band of out in time order, a time block at a time."""
+        for lo in range(0, self.steps, TIME_BLOCK):
+            for (_p, reverse, band), h in zip(self.dirs, np.split(hs[lo + 1 : lo + 1 + TIME_BLOCK], len(self.dirs), axis=1)):
+                _time_major(_steps(out)[:, :, band], reverse)[lo : lo + TIME_BLOCK] = h.transpose(0, 2, 1)
 
     def read_bands(self, g: np.ndarray) -> np.ndarray:
         """d(out)'s bands, [T, n, B] in processing order."""
@@ -301,14 +314,12 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
     """
     r = _Recurrence("gru", GruParams, x, (h0,), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
-    xw = r.project()
-    xw += r.b
     (hs,) = r.tracks
     rz, rh, cand = np.empty((steps, 2 * n, batch)), np.empty((steps, n, batch)), np.empty((steps, n, batch))
     u_rz, u_c = u_t[: 2 * n], u_t[2 * n :]
     # Each step's views, built once: the loop is bound by per-call overhead at desk size.
-    views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], xw[:, : 2 * n], xw[:, 2 * n :])
-    for h, a, r_t, z_t, rh_t, c, h_next, xw_rz, xw_c in views:
+    views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], r.project(True, 2 * n))
+    for h, a, r_t, z_t, rh_t, c, h_next, (xw_rz, xw_c) in views:
         np.matmul(u_rz, h, out=a)
         a += xw_rz
         _stable_sigmoid(a, out=a)
@@ -324,8 +335,12 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
     def bw(g: np.ndarray) -> None:
         gs = r.read_bands(g)
         # Factors from dL/d(r*h) (for r) and dL/dh' (z, cand) to the pre-activations, scaled in place below.
-        s = rz * (1.0 - rz)
-        da = np.concatenate([s[:, :n] * hs[:-1], s[:, n:] * (hs[:-1] - cand), (1 - rz[:, n:]) * (1 - cand * cand)], 1)
+        da = np.empty((steps, 3 * n, batch))  # [r*(1-r)*h | z*(1-z)*(h-cand) | (1-z)*(1-cand²)], in that order
+        da_rz, da_z, da_c = da[:, : 2 * n], da[:, n : 2 * n], da[:, 2 * n :]
+        np.multiply(np.subtract(1.0, rz, out=da_rz)[:, n:], np.subtract(1.0, cand * cand, out=da_c), out=da_c)
+        np.multiply(rz, da_rz, out=da_rz)
+        da[:, :n] *= hs[:-1]
+        da_z *= hs[:-1] - cand
         carry, mixed = np.zeros((2 * n, batch)), np.empty((2 * n, batch))  # carry is [dL/d(r*h); dL/dh]
         drh, dh, u_rz_t, u_c_t = carry[:n], carry[n:], u_rz.T, u_c.T
         for g_t, da_rz, da_c, rz_t in zip(gs[::-1], da[::-1, : 2 * n], da[::-1, 2 * n :], rz[::-1]):
@@ -337,7 +352,7 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
             np.matmul(u_rz_t, da_rz, out=dh)
             dh += mixed[n:]
             dh += mixed[:n]
-        del gs, s  # dead: freed before credit allocates, which lowers the peak heap
+        del gs  # dead: freed before credit allocates, which lowers the peak heap
         r.credit(da, [(hs[:-1], 2), (rh, 1)], dh)
 
     return bw
@@ -357,12 +372,11 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
     """
     r = _Recurrence("lstm", LstmParams, x, (h0, c0), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
-    xw = r.project()
     hs, cs = r.tracks
     gates, tc = np.empty((steps, 4 * n, batch)), np.empty((steps, n, batch))
     i, f, o, c = np.split(gates, 4, axis=1)
-    views = zip(hs[:-1], cs[:-1], gates, xw, gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
-    for h, c_prev, a, xw_t, sig, i_t, f_t, o_t, c_t, c_next, tc_t, h_next in views:
+    views = zip(hs[:-1], cs[:-1], gates, r.project(False), gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
+    for h, c_prev, a, (xw_t,), sig, i_t, f_t, o_t, c_t, c_next, tc_t, h_next in views:
         np.matmul(u_t, h, out=a)
         a += xw_t
         a += r.b
@@ -476,6 +490,12 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
 # Highway and convolution
 # ---------------------------------------------------------------------------
 
+def _row_blocks(*arrays: np.ndarray):
+    """The [N, ·] arrays in blocks of ``ROW_BLOCK`` rows, as views."""
+    for lo in range(0, len(arrays[0]), ROW_BLOCK):
+        yield tuple(a[lo : lo + ROW_BLOCK] for a in arrays)
+
+
 def _live_rows(g: np.ndarray, *factors: np.ndarray):
     """The live rows of a position-wise block's backward: an index ``at`` of the
     positions (g's leading axes) whose upstream gradient row is not all zero, and
@@ -499,7 +519,10 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     the backward is written by hand: it stacks their pre-activation
     gradients so that the weight and the input gradients are one matmul
     each, the latter over [W_t | W_h]. The mix keeps the order above, so
-    the output matches the primitive graph bit for bit.
+    the output matches the primitive graph bit for bit. Only the passes after
+    the two whole-array matmuls run on ``_row_blocks`` (OpenBLAS rounds a
+    512-row block's product differently at widths 17-20, 25-28, 33-36, 41-44):
+    forward ms whole / blocked 10.3/8.1 at [32, 500, 32], 22.7/17.9 at [64, 500, 32].
 
     The backward works on the live rows alone (``_live_rows``): under a
     window-1 pooled convolution at most B·F of the B·T positions get
@@ -517,9 +540,11 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     # Captured now, as in the scan kernels: backward credits these Variables.
     w_h, b_h, w_t, b_t = (v for _name, v in p.named())
     x = x_tilde.value.reshape(-1, d)
-    gate = _stable_sigmoid(x @ w_t.value + b_t.value)
-    transformed = np.maximum(x @ w_h.value + b_h.value, 0.0)
-    out = Variable((gate * transformed + (1.0 - gate) * x).reshape(x_tilde.shape))
+    gate, transformed, y = x @ w_t.value, x @ w_h.value, np.empty_like(x)
+    for xb, gb, tb, yb in _row_blocks(x, gate, transformed, y):
+        _stable_sigmoid(np.add(gb, b_t.value, out=gb), out=gb)
+        np.maximum(np.add(tb, b_h.value, out=tb), 0.0, out=tb)
+        np.add(gb * tb, (1.0 - gb) * xb, out=yb)
 
     def bw(g: np.ndarray) -> None:
         at, (g, xs, gs, ts) = _live_rows(g, x, gate, transformed)
@@ -534,7 +559,7 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
         dx = x_tilde.ensure_grad()
         dx[at] += (da @ w.T + g * (1.0 - gs)).reshape(dx[at].shape)
 
-    return record("highway_forward", out, bw)
+    return record("highway_forward", Variable(y.reshape(x_tilde.shape)), bw)
 
 
 def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
@@ -551,8 +576,8 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     w, b = p.w, p.b
     rows = x.value.reshape(-1, d)
     y = rows @ w.value
-    y += b.value
-    np.maximum(y, 0.0, out=y)
+    for (yb,) in _row_blocks(y):
+        np.maximum(np.add(yb, b.value, out=yb), 0.0, out=yb)
 
     def bw(g: np.ndarray) -> None:
         at, (g, xs, ys) = _live_rows(g, rows, y)

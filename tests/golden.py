@@ -3,7 +3,10 @@ each optimizer on a generated keyword task, reduced to the SHA-256 of its
 checkpoint bytes and of its report's ``deterministic_dict()``.
 
 A few desk-size cases (T=64, embed 16, hidden 8, 32 filters) ride along,
-because the smallest shapes can miss the BLAS paths where sums reorder.
+because the smallest shapes can miss the BLAS paths where sums reorder. One
+``rcnn-hw`` case at T=75 ends the forward's blocks early: its batches of
+16·75 = 1,200 positions are no multiple of the highway's 512-row blocks, and
+75 steps no multiple of the recurrence's 32-step time blocks.
 
 Float bits are not portable across numpy versions, BLAS builds or CPUs, so
 ``golden_digests.json`` records the configuration it was made on and
@@ -34,11 +37,13 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 SIZES = {
     "small": {"seq_len": 16, "embed_dim": 6, "hidden_dim": 3, "num_filters": 5},
     "desk": {"seq_len": 64, "embed_dim": 16, "hidden_dim": 8, "num_filters": 32},
+    "ragged": {"seq_len": 75, "embed_dim": 16, "hidden_dim": 8, "num_filters": 32},
 }
 DESK_NAMES = ("cnn", "rcnn", "rcnn-hw", "rcnn-hw-2", "rcnn-hw-mlp", "lstm-avg", "bilstm-avg", "cnn-lstm")
 
 CASES = [f"{name}/{opt}/small" for name in (*KINDS, *ABLATION_VARIANTS) for opt in sorted(OPTIMIZERS)]
 CASES += [f"{name}/rmsprop/desk" for name in DESK_NAMES]
+CASES += ["rcnn-hw/rmsprop/ragged"]
 
 
 def configuration() -> dict:

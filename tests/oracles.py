@@ -326,15 +326,28 @@ def taped_highway(x_tilde, p):
     return reshape(y, x_tilde.shape)
 
 
+def whole_highway(x_tilde, p):
+    """The highway forward on whole arrays, one numpy pass over every row at a
+    time, as the kernel ran before it worked in row blocks: the [N, d] rows,
+    gate, transform and output."""
+    x = x_tilde.reshape(-1, x_tilde.shape[-1])
+    gate = _stable_sigmoid(x @ p.w_t.value + p.b_t.value)
+    transformed = np.maximum(x @ p.w_h.value + p.b_h.value, 0.0)
+    return x, gate, transformed, gate * transformed + (1.0 - gate) * x
+
+
+def whole_dense_relu(x, p):
+    """relu(x·W + b) over the [N, d] rows on whole arrays, as ``whole_highway``."""
+    return np.maximum(x.reshape(-1, p.w.shape[0]) @ p.w.value + p.b.value, 0.0)
+
+
 def dense_highway_grads(x_tilde, p, g):
     """The fused highway kernel's backward over every row, as it ran before it
     skipped zero-gradient rows: the gradients of <g, highway(x_tilde)> for
     x_tilde, w_h, b_h, w_t and b_t, as accumulated into fresh zero buffers.
     The stacked arithmetic rounds differently from ``taped_highway``."""
     d = x_tilde.shape[-1]
-    x = x_tilde.reshape(-1, d)
-    gate = _stable_sigmoid(x @ p.w_t.value + p.b_t.value)
-    transformed = np.maximum(x @ p.w_h.value + p.b_h.value, 0.0)
+    x, gate, transformed, _y = whole_highway(x_tilde, p)
     g = g.reshape(x.shape)
     da = np.empty((x.shape[0], 2 * d))
     np.multiply(g * (transformed - x), gate * (1.0 - gate), out=da[:, :d])

@@ -2,6 +2,7 @@
 masked reductions, and the finite-difference suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     add, conv_oracle, dense_highway_grads, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv,
     taped_conv_pool, taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan,
-    taped_lstm_step,
+    taped_lstm_step, whole_dense_relu, whole_highway,
 )
 
 from rcnnlab import checks
@@ -350,16 +351,18 @@ class TestFusedScans:
         (L.LstmParams, L.lstm_scan, taped_lstm_scan),
     ])
     def test_scan_matches_taped_reference(self, cls, scan, reference, direction):
-        batch, steps, in_dim, hidden = 3, 7, 4, 5
+        """At 7 steps, and at 33 and 65, which end one and two steps into a new time block."""
+        batch, in_dim, hidden = 3, 4, 5
         rng = np.random.default_rng(40)
         p = random_params(cls, rng, in_dim, hidden)
-        x = rng.uniform(-1, 1, (batch, steps, in_dim))
-        w = rng.normal(size=(batch, steps, hidden))
-        out, grads = weighted_grads(lambda xs: scan(xs, p, direction), p, [x], w)
-        ref, ref_grads = weighted_grads(lambda xs: reference(xs, p, direction), p, [x], w)
-        assert_rel_close(out, ref)
-        for g, rg in zip(grads, ref_grads):
-            assert_rel_close(g, rg)
+        for steps in (7, L.TIME_BLOCK + 1, 2 * L.TIME_BLOCK + 1):
+            x = rng.uniform(-1, 1, (batch, steps, in_dim))
+            w = rng.normal(size=(batch, steps, hidden))
+            out, grads = weighted_grads(lambda xs: scan(xs, p, direction), p, [x], w)
+            ref, ref_grads = weighted_grads(lambda xs: reference(xs, p, direction), p, [x], w)
+            assert_rel_close(out, ref)
+            for g, rg in zip(grads, ref_grads):
+                assert_rel_close(g, rg)
 
     def test_lstm_cell_state_alone_carries_gradient(self):
         rng = np.random.default_rng(42)
@@ -440,17 +443,19 @@ class TestBirnnContext:
             L.birnn_context(Variable(np.zeros((2, 3, 4))), p_fwd, random_params(L.GruParams, rng, 4, 3))
 
     def test_matches_taped_reference(self):
-        batch, steps, embed, hidden = 3, 7, 4, 5
+        """At 7 steps, and at 33 and 65, which end one and two steps into a new time block."""
+        batch, embed, hidden = 3, 4, 5
         rng = np.random.default_rng(45)
         pair = gru_pair(rng, embed, hidden)
-        x = rng.uniform(-1, 1, (batch, steps, embed))
-        w = rng.normal(size=(batch, steps, 2 * hidden + embed))
-        out, grads = weighted_grads(lambda xs: L.birnn_context(xs, *pair), pair, [x], w)
-        ref, ref_grads = weighted_grads(lambda xs: taped_birnn_context(xs, *pair), pair, [x], w)
-        assert len(grads) == 19
-        assert_rel_close(out, ref)
-        for g, rg in zip(grads, ref_grads):
-            assert_rel_close(g, rg)
+        for steps in (7, L.TIME_BLOCK + 1, 2 * L.TIME_BLOCK + 1):
+            x = rng.uniform(-1, 1, (batch, steps, embed))
+            w = rng.normal(size=(batch, steps, 2 * hidden + embed))
+            out, grads = weighted_grads(lambda xs: L.birnn_context(xs, *pair), pair, [x], w)
+            ref, ref_grads = weighted_grads(lambda xs: taped_birnn_context(xs, *pair), pair, [x], w)
+            assert len(grads) == 19
+            assert_rel_close(out, ref)
+            for g, rg in zip(grads, ref_grads):
+                assert_rel_close(g, rg)
 
     @pytest.mark.parametrize("batch,steps,embed,hidden", [(32, 50, 16, 8), (3, 7, 5, 3)])
     def test_gru_bands_equal_single_direction_scans(self, batch, steps, embed, hidden):
@@ -565,9 +570,10 @@ class TestHighway:
         with pytest.raises(ShapeError):
             L.highway_forward(Variable(np.zeros((1, 2, 3))), p)
 
-    @pytest.mark.parametrize("shape", [(3, 7, 5), (2, 50, 32)])
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (2, 50, 32), (32, 500, 32), (32, 50, 114)])
     def test_matches_taped_reference(self, shape):
-        """The one-node kernel against the twelve-node graph of primitives."""
+        """The one-node kernel against the twelve-node graph of primitives, at
+        shapes within one row block and, at rcnn-hw-long's and paper size, across many."""
         rng = np.random.default_rng(60)
         p = L.HighwayParams.create(rng, shape[-1])
         for _n, v in p.named():
@@ -579,6 +585,20 @@ class TestHighway:
         np.testing.assert_array_equal(out, ref)
         for g, rg in zip(grads, ref_grads):
             assert_rel_close(g, rg)
+
+    def test_forward_peak_memory_is_three_outputs(self):
+        """The forward allocates its gate, transform and output, and otherwise
+        only scratch the size of a row block: rcnn-hw-long's shape, traced."""
+        rng = np.random.default_rng(63)
+        p = randomized_highway(rng, 32)
+        x = Variable(rng.uniform(-2, 2, (32, 500, 32)))
+        tracemalloc.start()
+        try:
+            y = L.highway_forward(x, p)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * y.value.nbytes + 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(61)
@@ -955,6 +975,20 @@ def randomized_highway(rng, d):
     for _n, v in p.named():
         v.value[...] = rng.uniform(-1, 1, v.shape)  # nonzero biases too
     return p
+
+
+class TestRowBlocks:
+    """The position-wise forwards work in row blocks; their outputs must equal
+    the whole-array passes byte for byte on either side of a block boundary."""
+
+    @pytest.mark.parametrize("rows", [1, L.ROW_BLOCK - 1, L.ROW_BLOCK, L.ROW_BLOCK + 1, 1600, 16000])
+    @pytest.mark.parametrize("d", [5, 12, 32, 50, 114])
+    def test_outputs_equal_whole_array_passes(self, d, rows):
+        rng = np.random.default_rng(d * rows)
+        p, q = randomized_highway(rng, d), random_params(L.DenseParams, rng, d, d + 3)
+        x = rng.uniform(-2, 2, (1, rows, d))
+        np.testing.assert_array_equal(L.highway_forward(Variable(x), p).value.reshape(rows, d), whole_highway(x, p)[3])
+        np.testing.assert_array_equal(L.dense_relu_positions(Variable(x), q).value.reshape(rows, -1), whole_dense_relu(x, q))
 
 
 class TestLiveRowBackward:
