@@ -62,8 +62,9 @@ def _keep_freed_pages() -> None:
 _keep_freed_pages()
 
 
-def _active_tape() -> "Tape | None":
-    return getattr(_STATE, "tape", None)
+def taping() -> bool:
+    """Whether a tape is recording, so that a backward may run on what a kernel keeps."""
+    return getattr(_STATE, "tape", None) is not None
 
 
 class Variable:
@@ -129,7 +130,7 @@ def record(op: str, out: Variable, backward_fn: Callable[[np.ndarray], None]) ->
     accumulate (+=) into the ``grad`` buffers of the inputs it closed
     over. This hook is also how layers define custom differentiable ops.
     """
-    tape = _active_tape()
+    tape = getattr(_STATE, "tape", None)
     if tape is not None:
         out.node_id = len(tape.nodes)
         tape.nodes.append((op, out, backward_fn))

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .autodiff import Variable, _stable_sigmoid, record
+from .autodiff import Variable, _stable_sigmoid, record, taping
 from .data import EncodedBatch
 from .errors import ContractError, DataError, ShapeError
 
@@ -23,6 +23,9 @@ from .errors import ContractError, DataError, ShapeError
 # 16 / 32 / 64 steps / whole. highway_forward [16000, 32]: 12.1 / 11.9 / 12.0 / 12.5 / 16.3 ms at 256 / 512 / 1,024 / 2,048 rows / whole.
 TIME_BLOCK = 32
 ROW_BLOCK = 512
+# OpenBLAS (0.3.31, SkylakeX) sends a GEMM of at most 1e6 multiply-adds to a small-matrix kernel that rounds unlike its
+# general one, so row blocks above that are byte-equal to the whole product: every d = 1-130, [d, d] and [d, d+3], 1 and 2 threads.
+GEMM_SMALL = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,12 @@ def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     return a[:, ::-1] if reverse else a
 
 
+def _kept(steps: int, *shape: int) -> np.ndarray:
+    """A [steps, *shape] buffer that only a backward reads; untaped, one step's scratch seen at every step."""
+    buf = np.empty((steps if taping() else 1, *shape))
+    return as_strided(buf, (steps, *shape), (buf.strides[0] if taping() else 0, *buf.strides[1:]))
+
+
 def _steps(a: np.ndarray) -> np.ndarray:
     """[B, T, k] as it is; a cell step's [B, k] as a [B, 1, k] view."""
     return a if a.ndim == 3 else a[:, None]
@@ -315,7 +324,7 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
     r = _Recurrence("gru", GruParams, x, (h0,), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
     (hs,) = r.tracks
-    rz, rh, cand = np.empty((steps, 2 * n, batch)), np.empty((steps, n, batch)), np.empty((steps, n, batch))
+    rz, rh, cand = _kept(steps, 2 * n, batch), _kept(steps, n, batch), _kept(steps, n, batch)
     u_rz, u_c = u_t[: 2 * n], u_t[2 * n :]
     # Each step's views, built once: the loop is bound by per-call overhead at desk size.
     views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], r.project(True, 2 * n))
@@ -373,7 +382,7 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
     r = _Recurrence("lstm", LstmParams, x, (h0, c0), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
     hs, cs = r.tracks
-    gates, tc = np.empty((steps, 4 * n, batch)), np.empty((steps, n, batch))
+    gates, tc = _kept(steps, 4 * n, batch), _kept(steps, n, batch)
     i, f, o, c = np.split(gates, 4, axis=1)
     views = zip(hs[:-1], cs[:-1], gates, r.project(False), gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
     for h, c_prev, a, (xw_t,), sig, i_t, f_t, o_t, c_t, c_next, tc_t, h_next in views:
@@ -490,10 +499,13 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
 # Highway and convolution
 # ---------------------------------------------------------------------------
 
-def _row_blocks(*arrays: np.ndarray):
-    """The [N, ·] arrays in blocks of ``ROW_BLOCK`` rows, as views."""
-    for lo in range(0, len(arrays[0]), ROW_BLOCK):
-        yield tuple(a[lo : lo + ROW_BLOCK] for a in arrays)
+def _row_blocks(row_macs: int, *arrays: np.ndarray | None):
+    """[N, ·] arrays in blocks, as views; a None is fresh scratch shaped as the first array's block. A block has ``ROW_BLOCK``
+    rows or the fewest multiple of 64 whose GEMM, at ``row_macs`` multiply-adds a row, exceeds ``GEMM_SMALL``; the last, the rest."""
+    n, rows = len(arrays[0]), max(ROW_BLOCK, (GEMM_SMALL // max(row_macs, 1) // 64 + 1) * 64)
+    starts = range(0, max(n // rows, 1) * rows, rows)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        yield tuple(np.empty_like(arrays[0][lo:hi]) if a is None else a[lo:hi] for a in arrays)
 
 
 def _live_rows(g: np.ndarray, *factors: np.ndarray):
@@ -518,11 +530,10 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     gate and the transform are one matmul each, so both are contiguous, and
     the backward is written by hand: it stacks their pre-activation
     gradients so that the weight and the input gradients are one matmul
-    each, the latter over [W_t | W_h]. The mix keeps the order above, so
-    the output matches the primitive graph bit for bit. Only the passes after
-    the two whole-array matmuls run on ``_row_blocks`` (OpenBLAS rounds a
-    512-row block's product differently at widths 17-20, 25-28, 33-36, 41-44):
-    forward ms whole / blocked 10.3/8.1 at [32, 500, 32], 22.7/17.9 at [64, 500, 32].
+    each, the latter over [W_t | W_h]. The mix forms the products above, so
+    the output matches the primitive graph bit for bit. All of it, matmuls too, runs on
+    ``_row_blocks``; untaped, the gate and transform are block scratch. Forward ms,
+    matmuls whole / blocked: untaped 17.5/13.4 at [64, 500, 32], taped 8.5/7.5 at [32, 500, 32].
 
     The backward works on the live rows alone (``_live_rows``): under a
     window-1 pooled convolution at most B·F of the B·T positions get
@@ -540,11 +551,13 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     # Captured now, as in the scan kernels: backward credits these Variables.
     w_h, b_h, w_t, b_t = (v for _name, v in p.named())
     x = x_tilde.value.reshape(-1, d)
-    gate, transformed, y = x @ w_t.value, x @ w_h.value, np.empty_like(x)
-    for xb, gb, tb, yb in _row_blocks(x, gate, transformed, y):
-        _stable_sigmoid(np.add(gb, b_t.value, out=gb), out=gb)
-        np.maximum(np.add(tb, b_h.value, out=tb), 0.0, out=tb)
-        np.add(gb * tb, (1.0 - gb) * xb, out=yb)
+    # The backward reads the gate and transform whole; untaped, each block gets scratch (None).
+    gate, transformed, y = (np.empty_like(x) if keep else None for keep in (taping(), taping(), True))
+    for xb, gb, tb, yb in _row_blocks(d * d, x, gate, transformed, y):
+        _stable_sigmoid(np.add(np.matmul(xb, w_t.value, out=gb), b_t.value, out=gb), out=gb)
+        np.maximum(np.add(np.matmul(xb, w_h.value, out=tb), b_h.value, out=tb), 0.0, out=tb)
+        np.multiply(np.subtract(1.0, gb, out=yb), xb, out=yb)
+        yb += gb * tb  # the mix's two products, summed in the other order: the same bits
 
     def bw(g: np.ndarray) -> None:
         at, (g, xs, gs, ts) = _live_rows(g, x, gate, transformed)
@@ -575,9 +588,9 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     # Captured now, as in the scan kernels: backward credits these Variables.
     w, b = p.w, p.b
     rows = x.value.reshape(-1, d)
-    y = rows @ w.value
-    for (yb,) in _row_blocks(y):
-        np.maximum(np.add(yb, b.value, out=yb), 0.0, out=yb)
+    y = np.empty((len(rows), width))
+    for xb, yb in _row_blocks(d * width, rows, y):
+        np.maximum(np.add(np.matmul(xb, w.value, out=yb), b.value, out=yb), 0.0, out=yb)
 
     def bw(g: np.ndarray) -> None:
         at, (g, xs, ys) = _live_rows(g, rows, y)

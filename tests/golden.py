@@ -8,11 +8,13 @@ because the smallest shapes can miss the BLAS paths where sums reorder. One
 16·75 = 1,200 positions are no multiple of the highway's 512-row blocks, and
 75 steps no multiple of the recurrence's 32-step time blocks.
 
-Float bits are not portable across numpy versions, BLAS builds or CPUs, so
-``golden_digests.json`` records the configuration it was made on and
-``test_golden.py`` skips on any other. After a change that moves training
-bits on purpose, regenerate the file and name the digests that changed, and
-why, in CHANGES.md:
+Float bits are not portable across numpy versions, BLAS builds, CPUs or
+BLAS thread counts, so ``golden_digests.json`` records the configuration it
+was made on and ``test_golden.py`` skips on any other. Digests are computed
+in one child process with one BLAS thread, as ``bench/run.py`` trains, so
+they do not depend on the host's core count. After a change that moves
+training bits on purpose, regenerate the file and name the digests that
+changed, and why, in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -21,7 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,6 +38,7 @@ from rcnnlab.models import ABLATION_VARIANTS, KINDS, ModelSpec, resolve_model
 from rcnnlab.optim import OPTIMIZERS
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SIZES = {
     "small": {"seq_len": 16, "embed_dim": 6, "hidden_dim": 3, "num_filters": 5},
@@ -58,7 +64,14 @@ def configuration() -> dict:
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
         "machine": platform.machine(),
         "simd": sorted(config.get("SIMD Extensions", {}).get("found", [])),
+        "blas_threads": int(os.environ.get("OPENBLAS_NUM_THREADS", 0)),  # 0: the BLAS default
     }
+
+
+def same_blas() -> bool:
+    """Whether numpy, its BLAS and the CPU are those the digests were recorded on, at any thread count."""
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))["configuration"]
+    return all(recorded[k] == v for k, v in configuration().items() if k != "blas_threads")
 
 
 def digest(case: str) -> dict:
@@ -79,9 +92,22 @@ def digest(case: str) -> dict:
     return {"checkpoint": hashlib.sha256(checkpoint).hexdigest(), "report": hashlib.sha256(blob).hexdigest()}
 
 
+def computed() -> dict:
+    """The configuration and every case's digest, in this process."""
+    return {"configuration": configuration(), "digests": {case: digest(case) for case in CASES}}
+
+
+def pinned() -> dict:
+    """``computed()`` in one child process with one BLAS thread."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    code = "import json, golden; print(json.dumps(golden.computed()))"
+    return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+
+
 def main() -> None:
-    golden = {"configuration": configuration(), "digests": {case: digest(case) for case in CASES}}
-    DIGESTS.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    DIGESTS.write_text(json.dumps(pinned(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} digests to {DIGESTS}")
 
 

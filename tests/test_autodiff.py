@@ -270,6 +270,15 @@ class TestBackward:
         with pytest.raises(ContractError):
             ad.backward(tape, y)
 
+    def test_taping_tells_whether_a_tape_records(self):
+        assert not ad.taping()
+        with Tape():
+            assert ad.taping()
+            with Tape():
+                assert ad.taping()
+            assert ad.taping()
+        assert not ad.taping()
+
     def test_untaped_ops_do_not_record(self):
         tape = Tape()
         with tape:
@@ -318,6 +327,18 @@ class TestFiniteDiffCheck:
         with pytest.raises(GradCheckError, match="coordinate"):
             ad.finite_diff_check(f, np.array([1.0]))
 
+
+    def test_numeric_passes_run_untaped(self):
+        """One taped pass for the analytic gradient, then two untaped per coordinate,
+        so a layer gradcheck also checks a kernel's untaped forward against its taped one."""
+        seen = []
+
+        def f(v):
+            seen.append(ad.taping())
+            return sum_all(mul(v, v))
+
+        assert ad.finite_diff_check(f, np.array([0.5, -1.5, 2.0])) <= 1e-7
+        assert seen == [True] + [False] * 6
 
     def test_held_variable_differenced_in_place_and_restored(self):
         held = Variable(np.random.default_rng(5).uniform(-2, 2, (3, 4))[:, :2])  # reshape(-1) copies it

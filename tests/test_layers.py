@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from golden import same_blas
 from oracles import (
     add, conv_oracle, dense_highway_grads, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv,
     taped_conv_pool, taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan,
@@ -23,6 +24,16 @@ from rcnnlab.errors import ContractError, DataError, ShapeError
 
 def sigma(v: float) -> float:
     return 1.0 / (1.0 + math.exp(-v))
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``, and what it returned."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def make_batch(ids, lengths=None, labels=None):
@@ -466,6 +477,14 @@ class TestBirnnContext:
         np.testing.assert_array_equal(out[:, :, :hidden], L.gru_scan(Variable(x), p_bwd, "backward").value)
         np.testing.assert_array_equal(out[:, :, hidden + embed :], L.gru_scan(Variable(x), p_fwd, "forward").value)
 
+    def test_untaped_forward_keeps_no_gates(self):
+        """rcnn-hw-long's eval shape. Untaped, r, z, r*h and cand live in one step's
+        scratch; kept for every step, as for a backward, the peak was 36.0 MiB."""
+        rng = np.random.default_rng(49)
+        x, pair = Variable(rng.uniform(-1, 1, (64, 500, 16))), gru_pair(rng, 16, 8)
+        peak, _out = traced_peak(lambda: L.birnn_context(x, *pair))
+        assert peak < 24 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_one_tape_node(self):
         rng = np.random.default_rng(47)
         with Tape() as tape:
@@ -599,6 +618,14 @@ class TestHighway:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * y.value.nbytes + 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_untaped_forward_keeps_one_output(self):
+        """Untaped, the gate and transform are one row block's scratch, so the
+        forward holds little beyond its output (kept whole, it peaked at 23.8 MiB)."""
+        rng = np.random.default_rng(64)
+        p, x = randomized_highway(rng, 32), Variable(rng.uniform(-2, 2, (64, 500, 32)))
+        peak, y = traced_peak(lambda: L.highway_forward(x, p))
+        assert peak < y.value.nbytes + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(61)
@@ -989,6 +1016,26 @@ class TestRowBlocks:
         x = rng.uniform(-2, 2, (1, rows, d))
         np.testing.assert_array_equal(L.highway_forward(Variable(x), p).value.reshape(rows, d), whole_highway(x, p)[3])
         np.testing.assert_array_equal(L.dense_relu_positions(Variable(x), q).value.reshape(rows, -1), whole_dense_relu(x, q))
+
+
+    @pytest.mark.parametrize("d", [*range(1, 65), 114])
+    def test_gemm_blocks_equal_whole_products_at_every_width(self, d):
+        """The matmuls run in the blocks too. OpenBLAS sends a product of at most
+        1e6 multiply-adds to a small-matrix kernel that rounds unlike the whole
+        array's, so 512-row blocks moved bits at d = 17-20, 25-28, 33-36 and
+        41-44; a block must be the fewest multiple of 64 rows above that, the
+        last one taking the rest. Bytes are required on the numpy, BLAS and CPU
+        the golden digests were recorded on; elsewhere, 1e-12."""
+        exact = same_blas()
+        rng = np.random.default_rng(d)
+        p, q = randomized_highway(rng, d), random_params(L.DenseParams, rng, d, d + 3)
+        for kernel, whole, params, macs in ((L.highway_forward, lambda x: whole_highway(x, p)[3], p, d * d),
+                                            (L.dense_relu_positions, lambda x: whole_dense_relu(x, q), q, d * (d + 3))):
+            rows = max(512, (10**6 // macs // 64 + 1) * 64)
+            inputs = rng.uniform(-2, 2, (max(2 * rows + 1, 16000), d))
+            for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1, 16000):
+                out, ref = kernel(Variable(inputs[:n]), params).value, whole(inputs[:n])
+                assert out.tobytes() == ref.tobytes() if exact else np.allclose(out, ref, 1e-12, 1e-12), (n, rows)
 
 
 class TestLiveRowBackward:

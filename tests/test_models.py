@@ -177,6 +177,27 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.forward(batch).value, b.forward(batch).value)
 
 
+class TestTapedForward:
+    """Untaped, the kernels keep nothing for a backward: the GRU and LSTM gates
+    live in one step's scratch, the highway's gate and transform in one row
+    block's. The output must not move by a bit."""
+
+    # (T, embed, hidden, filters, batch): tests/golden.py's small and ragged sizes, and rcnn-hw-long's eval batch.
+    @pytest.mark.parametrize("size", [(16, 6, 3, 5, 16), (75, 16, 8, 32, 16), (500, 16, 8, 32, 64)],
+                             ids=["small", "ragged", "long-eval"])
+    @pytest.mark.parametrize("name", [*KINDS, *ABLATION_VARIANTS])
+    def test_taped_forward_equals_untaped(self, name, size):
+        steps, embed, hidden, filters, batch_size = size
+        base = ModelSpec(kind="cnn", vocab_size=40, seq_len=steps, embed_dim=embed, hidden_dim=hidden, num_filters=filters)
+        model = build_model(resolve_model(name, base), rng_seed=3)
+        rng = np.random.default_rng(steps)
+        batch = make_batch(rng.integers(0, 40, (batch_size, steps)), lengths=rng.integers(1, steps + 1, batch_size))
+        untaped = model.forward(batch).value
+        with Tape():
+            taped = model.forward(batch).value
+        np.testing.assert_array_equal(taped, untaped)
+
+
 _RCNN = {"embed", "birnn_context", "conv1d_forward", "dense_softmax"}
 _LSTM_AVG = {"embed", "lstm_scan", "mean_over_time", "dense_softmax"}
 LAYER_CALLS = {
