@@ -102,15 +102,10 @@ def build_vocab(train: TextDataset, max_size: int = 20000, min_freq: int = 2) ->
 
 
 def encode(text: str, vocab: Vocabulary, seq_len: int) -> tuple[np.ndarray, int]:
-    """Fixed-length id sequence plus the true (pre-padding) length."""
+    """Fixed-length id sequence plus the true (pre-padding) length; a text with no tokens is one UNK."""
     if seq_len < 1:
         raise ContractError(f"seq_len must be >= 1, got {seq_len}")
-    tokens = tokenize(text)
-    if not tokens:
-        ids = np.full(seq_len, PAD_ID, dtype=np.int64)
-        ids[0] = UNK_ID
-        return ids, 1
-    kept = tokens[:seq_len]
+    kept = tokenize(text)[:seq_len] or ["<unk>"]  # tokenize never emits "<unk>"; every vocabulary maps it to UNK_ID
     ids = np.full(seq_len, PAD_ID, dtype=np.int64)
     ids[: len(kept)] = np.fromiter(map(vocab.token_to_id.get, kept, repeat(UNK_ID)), np.int64, len(kept))
     return ids, len(kept)

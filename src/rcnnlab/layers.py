@@ -271,13 +271,12 @@ class _Recurrence:
         for a, s in zip(self.tracks, states):
             a[0] = s.value.T
 
-    def project(self, fold_bias: bool, *cuts: int):
-        """Each step's x·W (+ b with ``fold_bias``), its [G·n, B] rows split at ``cuts``: views into one reused time block."""
+    def project(self, *cuts: int):
+        """Each step's x·W + b, its [G·n, B] rows split at ``cuts``: views into one reused time block."""
         xw = np.empty((min(TIME_BLOCK, self.steps), len(self.b), self.batch))
         for lo in range(0, self.steps, TIME_BLOCK):
             block = np.matmul(self.w.T, self.xs[lo : lo + TIME_BLOCK].transpose(0, 2, 1), out=xw[: self.steps - lo])
-            if fold_bias:
-                block += self.b
+            block += self.b
             yield from zip(*np.split(block, cuts, axis=1))
 
     def write_bands(self, out: np.ndarray, hs: np.ndarray) -> None:
@@ -327,7 +326,7 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
     rz, rh, cand = _kept(steps, 2 * n, batch), _kept(steps, n, batch), _kept(steps, n, batch)
     u_rz, u_c = u_t[: 2 * n], u_t[2 * n :]
     # Each step's views, built once: the loop is bound by per-call overhead at desk size.
-    views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], r.project(True, 2 * n))
+    views = zip(hs[:-1], rz, rz[:, :n], rz[:, n:], rh, cand, hs[1:], r.project(2 * n))
     for h, a, r_t, z_t, rh_t, c, h_next, (xw_rz, xw_c) in views:
         np.matmul(u_rz, h, out=a)
         a += xw_rz
@@ -376,19 +375,17 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
     i, f, o = sigmoid(x·W + h·U + b), each with its own weights
     cand = tanh(x·W_c + h·U_c + b_c);  c' = f*c + i*cand;  h' = o*tanh(c')
 
-    The gates are [i | f | o | cand]. Each step adds the biases last: a
-    pre-activation rounds as (x·W + h·U) + b, not folded as the GRU's.
+    The gates are [i | f | o | cand], with the biases folded into the projection.
     """
     r = _Recurrence("lstm", LstmParams, x, (h0, c0), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
     hs, cs = r.tracks
     gates, tc = _kept(steps, 4 * n, batch), _kept(steps, n, batch)
     i, f, o, c = np.split(gates, 4, axis=1)
-    views = zip(hs[:-1], cs[:-1], gates, r.project(False), gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
+    views = zip(hs[:-1], cs[:-1], gates, r.project(), gates[:, : 3 * n], i, f, o, c, cs[1:], tc, hs[1:])  # as in the GRU
     for h, c_prev, a, (xw_t,), sig, i_t, f_t, o_t, c_t, c_next, tc_t, h_next in views:
         np.matmul(u_t, h, out=a)
         a += xw_t
-        a += r.b
         _stable_sigmoid(sig, out=sig)
         np.tanh(c_t, out=c_t)
         np.multiply(f_t, c_prev, out=c_next)
@@ -400,21 +397,20 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
 
     def bw(g: np.ndarray) -> None:
         gs = r.read_bands(g)
-        # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation.
-        k = np.concatenate([c * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - c * c)], 1)
-        k_cell = o * (1.0 - tc * tc)
-        da, carry = np.empty((steps, 4 * n, batch)), np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
+        # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation, scaled in place below.
+        da = np.concatenate([c * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - c * c)], 1)
+        k_cell, carry = o * (1.0 - tc * tc), np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
         dc, dh, flat, u = carry[0], carry[2], carry.reshape(4 * n, batch), u_t.T
         if c_last.grad is not None:
             dc[...] = c_last.grad.T
-        for g_t, k_cell_t, k_t, da_t, f_t in zip(gs[::-1], k_cell[::-1], k[::-1], da[::-1], f[::-1]):
+        for g_t, k_cell_t, da_t, f_t in zip(gs[::-1], k_cell[::-1], da[::-1], f[::-1]):
             dh += g_t
             dc += dh * k_cell_t
             carry[1::2] = dc
-            np.multiply(flat, k_t, out=da_t)
+            da_t *= flat
             dc *= f_t
             np.matmul(u, da_t, out=dh)
-        del gs, k, k_cell  # as in the GRU's backward
+        del gs, k_cell  # as in the GRU's backward
         r.credit(da, [(hs[:-1], 4)], dh, dc)
 
     return bw, c_last

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcnnlab import harness
 from rcnnlab.autodiff import backward
@@ -460,6 +462,41 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(tmp_path / "nope.rchw")
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """A saved checkpoint's path, its bytes, and where its JSON header ends."""
+        import struct
+
+        path = tmp_path_factory.mktemp("corrupt") / "m.rchw"
+        save_checkpoint(self.build(), path)
+        blob = path.read_bytes()
+        return path, blob, 12 + struct.unpack("<I", blob[8:12])[0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_corrupt_bytes_load_or_raise_checkpoint_error(self, saved, data):
+        """A bit flipped anywhere, a header byte (magic, version, length or
+        JSON) replaced, inserted or deleted, or the file cut short: loading
+        either succeeds or raises CheckpointError, never anything else.
+        Format v1 has no checksum, so a flip inside the payload loads
+        silently, as different weights."""
+        path, blob, header_end = saved
+        edit = data.draw(st.sampled_from(["flip", "replace", "insert", "delete", "truncate"]))
+        at = data.draw(st.integers(0, (header_end if edit in ("replace", "insert", "delete") else len(blob)) - 1))
+        byte = data.draw(st.integers(0, 255))
+        corrupt = {
+            "flip": blob[:at] + bytes([blob[at] ^ (1 << byte % 8)]) + blob[at + 1 :],
+            "replace": blob[:at] + bytes([byte]) + blob[at + 1 :],
+            "insert": blob[:at] + bytes([byte]) + blob[at:],
+            "delete": blob[:at] + blob[at + 1 :],
+            "truncate": blob[:at],
+        }[edit]
+        path.write_bytes(corrupt)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_public_api_surface():

@@ -386,6 +386,16 @@ class TestFusedScans:
             assert_rel_close(g, rg)
         assert np.abs(grads[2]).max() > 0.0
 
+    def test_lstm_backward_keeps_one_factor_array(self):
+        """The gate factors are built into da itself: the peak is about 59 MiB,
+        and a second [T, 4n, B] factor array, 15.6 MiB here, would make it 75."""
+        rng = np.random.default_rng(45)
+        p, x = L.LstmParams.create(rng, 50, 32), Variable(rng.uniform(-1, 1, (32, 500, 50)))
+        with Tape() as tape:
+            loss = sum_all(L.lstm_scan(x, p))
+        peak, _out = traced_peak(lambda: backward(tape, loss))
+        assert peak < 66 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_one_tape_node_per_scan(self):
         """Each scan and the GRU step are one node; the LSTM step adds one for its cell state."""
         rng = np.random.default_rng(43)
