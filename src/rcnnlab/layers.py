@@ -224,12 +224,6 @@ def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     return (a[:, ::-1] if reverse else a).transpose(1, 0, 2)
 
 
-def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """Inverse of ``_time_major``, as a view."""
-    a = a.transpose(1, 0, 2)
-    return a[:, ::-1] if reverse else a
-
-
 def _kept(steps: int, *shape: int) -> np.ndarray:
     """A [steps, *shape] buffer that only a backward reads; untaped, one step's scratch seen at every step."""
     buf = np.empty((steps if taping() else 1, *shape))
@@ -289,22 +283,35 @@ class _Recurrence:
         """d(out)'s bands, [T, n, B] in processing order."""
         return np.concatenate([_time_major(_steps(g)[:, :, band], reverse).transpose(0, 2, 1) for _p, reverse, band in self.dirs], 1)
 
-    def credit(self, da: np.ndarray, recurrent, *carries: np.ndarray) -> None:
-        """Add the gradients from the pre-activations' da [T, G·n, B] onto the
-        weights, biases and x, and each carry [n, B] onto its state. ``recurrent``
-        pairs, in gate order, each right operand of U with the gates it feeds."""
-        (k, width, gates, hidden), n = self.dims, self.n
-        rows = [a.transpose(0, 2, 1).reshape(self.steps * self.batch, -1) for a in (da, *(a for a, _g in recurrent))]
-        flat, ends = rows[0], np.cumsum([0] + [g * n for _a, g in recurrent])
-        du = np.concatenate([r.T @ flat[:, lo:hi] for r, lo, hi in zip(rows[1:], ends, ends[1:])], 1)
-        dw = (self.xs.reshape(len(flat), -1).T @ flat).reshape(k, width, gates, k, hidden)
-        du, db = du.reshape(k, hidden, gates, k, hidden), flat.sum(axis=0).reshape(gates, k, hidden)
+    def credit(self, recurrent, *carries: np.ndarray):
+        """Run a backward in reverse time blocks. Yields each block's steps, a slice in
+        processing order, and a [t, G·n, B] buffer that the caller fills with their
+        pre-activations' gradients da; then credits the block. dW and dU sum each
+        step's product of da_t with its feature-major x_t or U operand, and db each
+        da_t·1, over the block's stack of steps, so no [T·B, ·] rows are copied; dx
+        is the stacked da_tᵀ·Wᵀ, byte-equal to one [T·B, ·] product, but the weight
+        and bias sums round in another order than such a product's (about 1e-14
+        relative). ``recurrent`` pairs, in gate order, each [T, n, B] right operand
+        of U with the gates it feeds. Last, adds each carry [n, B], which the caller
+        updates in place, onto its state."""
+        (k, width, gates, hidden), n, steps = self.dims, self.n, self.steps
+        buf, ones, x_grad = np.empty((min(TIME_BLOCK, steps), gates * n, self.batch)), np.ones(self.batch), _steps(self.x.ensure_grad())
+        dw, du, db = np.zeros((gates * n, k * width)), np.zeros((gates * n, n)), np.zeros(gates * n)  # transposed: [G·n, ·]
+        ends = np.cumsum([0] + [g * n for _a, g in recurrent])
+        for lo in reversed(range(0, steps, TIME_BLOCK)):
+            t = slice(lo, min(lo + TIME_BLOCK, steps))
+            da = buf[: t.stop - lo]
+            yield t, da
+            dw += np.matmul(da, self.xs[t]).sum(axis=0)
+            for (a, _g), lo_row, hi_row in zip(recurrent, ends, ends[1:]):
+                du[lo_row:hi_row] += np.matmul(da[:, lo_row:hi_row], a[t].transpose(0, 2, 1)).sum(axis=0)
+            db += np.matmul(da, ones).sum(axis=0)
+            for (_p, reverse, _band), dx in zip(self.dirs, np.split(np.matmul(da.transpose(0, 2, 1), self.w.T), k, axis=2)):
+                _time_major(x_grad, reverse)[t] += dx
+        dw, du, db = dw.T.reshape(k, width, gates, k, hidden), du.T.reshape(k, hidden, gates, k, hidden), db.reshape(gates, k, hidden)
         for j, vs in enumerate(self.params):
             for v, gv in zip(vs, [*dw[j, :, :, j].swapaxes(0, 1), *du[j, :, :, j].swapaxes(0, 1), *db[:, j]]):
                 v.ensure_grad()[...] += gv
-        dxs = np.split((flat @ self.w.T).reshape(self.steps, self.batch, -1), k, axis=2)
-        for (_p, reverse, _band), dx in zip(self.dirs, dxs):
-            _steps(self.x.ensure_grad())[...] += _batch_major(dx, reverse)
         for s, carry in zip(self.states, carries):
             s.ensure_grad()[...] += carry.T
 
@@ -342,26 +349,25 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
 
     def bw(g: np.ndarray) -> None:
         gs = r.read_bands(g)
-        # Factors from dL/d(r*h) (for r) and dL/dh' (z, cand) to the pre-activations, scaled in place below.
-        da = np.empty((steps, 3 * n, batch))  # [r*(1-r)*h | z*(1-z)*(h-cand) | (1-z)*(1-cand²)], in that order
-        da_rz, da_z, da_c = da[:, : 2 * n], da[:, n : 2 * n], da[:, 2 * n :]
-        np.multiply(np.subtract(1.0, rz, out=da_rz)[:, n:], np.subtract(1.0, cand * cand, out=da_c), out=da_c)
-        np.multiply(rz, da_rz, out=da_rz)
-        da[:, :n] *= hs[:-1]
-        da_z *= hs[:-1] - cand
         carry, mixed = np.zeros((2 * n, batch)), np.empty((2 * n, batch))  # carry is [dL/d(r*h); dL/dh]
         drh, dh, u_rz_t, u_c_t = carry[:n], carry[n:], u_rz.T, u_c.T
-        for g_t, da_rz, da_c, rz_t in zip(gs[::-1], da[::-1, : 2 * n], da[::-1, 2 * n :], rz[::-1]):
-            dh += g_t
-            da_c *= dh
-            np.matmul(u_c_t, da_c, out=drh)
-            da_rz *= carry
-            np.multiply(carry, rz_t, out=mixed)  # [drh*r; dh*z]
-            np.matmul(u_rz_t, da_rz, out=dh)
-            dh += mixed[n:]
-            dh += mixed[:n]
-        del gs  # dead: freed before credit allocates, which lowers the peak heap
-        r.credit(da, [(hs[:-1], 2), (rh, 1)], dh)
+        for t, da in r.credit([(hs[:-1], 2), (rh, 1)], dh):
+            # Factors from dL/d(r*h) (for r) and dL/dh' (z, cand) to the pre-activations, scaled in place below:
+            # [r*(1-r)*h | z*(1-z)*(h-cand) | (1-z)*(1-cand²)], in that order.
+            h, rz_b, cand_b, da_rz, da_z, da_c = hs[t], rz[t], cand[t], da[:, : 2 * n], da[:, n : 2 * n], da[:, 2 * n :]
+            np.multiply(np.subtract(1.0, rz_b, out=da_rz)[:, n:], np.subtract(1.0, cand_b * cand_b, out=da_c), out=da_c)
+            np.multiply(rz_b, da_rz, out=da_rz)
+            da[:, :n] *= h
+            da_z *= h - cand_b
+            for g_t, da_rz, da_c, rz_t in zip(gs[t][::-1], da[::-1, : 2 * n], da[::-1, 2 * n :], rz_b[::-1]):
+                dh += g_t
+                da_c *= dh
+                np.matmul(u_c_t, da_c, out=drh)
+                da_rz *= carry
+                np.multiply(carry, rz_t, out=mixed)  # [drh*r; dh*z]
+                np.matmul(u_rz_t, da_rz, out=dh)
+                dh += mixed[n:]
+                dh += mixed[:n]
 
     return bw
 
@@ -397,21 +403,22 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
 
     def bw(g: np.ndarray) -> None:
         gs = r.read_bands(g)
-        # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation, scaled in place below.
-        da = np.concatenate([c * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o), i * (1.0 - c * c)], 1)
-        k_cell, carry = o * (1.0 - tc * tc), np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
+        carry = np.zeros((4, n, batch))  # carry is [dc; dc; dh; dc]
         dc, dh, flat, u = carry[0], carry[2], carry.reshape(4 * n, batch), u_t.T
         if c_last.grad is not None:
             dc[...] = c_last.grad.T
-        for g_t, k_cell_t, da_t, f_t in zip(gs[::-1], k_cell[::-1], da[::-1], f[::-1]):
-            dh += g_t
-            dc += dh * k_cell_t
-            carry[1::2] = dc
-            da_t *= flat
-            dc *= f_t
-            np.matmul(u, da_t, out=dh)
-        del gs, k_cell  # as in the GRU's backward
-        r.credit(da, [(hs[:-1], 4)], dh, dc)
+        for t, da in r.credit([(hs[:-1], 4)], dh, dc):
+            # Factors from dL/dc' (for i, f, cand) or dL/dh' (o, and c' itself) to each pre-activation, scaled in place below.
+            i_b, f_b, o_b, c_b, tc_b = i[t], f[t], o[t], c[t], tc[t]
+            factors = [c_b * i_b * (1.0 - i_b), cs[t] * f_b * (1.0 - f_b), tc_b * o_b * (1.0 - o_b), i_b * (1.0 - c_b * c_b)]
+            np.concatenate(factors, 1, out=da)
+            for g_t, k_cell_t, da_t, f_t in zip(gs[t][::-1], (o_b * (1.0 - tc_b * tc_b))[::-1], da[::-1], f_b[::-1]):
+                dh += g_t
+                dc += dh * k_cell_t
+                carry[1::2] = dc
+                da_t *= flat
+                dc *= f_t
+                np.matmul(u, da_t, out=dh)
 
     return bw, c_last
 

@@ -14,19 +14,27 @@ was made on and ``test_golden.py`` skips on any other. Digests are computed
 in one child process with one BLAS thread, as ``bench/run.py`` trains, so
 they do not depend on the host's core count. After a change that moves
 training bits on purpose, regenerate the file and name the digests that
-changed, and why, in CHANGES.md:
+changed, and why, in CHANGES.md. Before that, the drift report trains every
+case on this checkout's package and on the one at REV and says, case by case,
+how far the parameters and losses moved; it fails if an accuracy or
+``best_epoch`` changed or any tensor moved by more than ``DRIFT_BOUND`` of
+its largest entry:
 
+    PYTHONPATH=src python tests/golden.py --against REV
     PYTHONPATH=src python tests/golden.py
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -38,6 +46,11 @@ from rcnnlab.models import ABLATION_VARIANTS, KINDS, ModelSpec, resolve_model
 from rcnnlab.optim import OPTIMIZERS
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+ROOT = Path(__file__).resolve().parents[1]
+# The largest max|Δ| / max|p| of any tensor that the drift report accepts. Changes that reordered
+# float sums on purpose moved parameters by at most 1.9e-14 of their largest entry; a real bug moves
+# them by far more than 1e-12 in the two epochs a case trains.
+DRIFT_BOUND = 1e-12
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SIZES = {
@@ -74,8 +87,8 @@ def same_blas() -> bool:
     return all(recorded[k] == v for k, v in configuration().items() if k != "blas_threads")
 
 
-def digest(case: str) -> dict:
-    """Train ``case`` ("name/optimizer/size") for two epochs and hash the result."""
+def trained(case: str):
+    """Train ``case`` ("name/optimizer/size") for two epochs: the model and its report."""
     name, optimizer, size = case.split("/")
     dims = SIZES[size]
     dataset = gen_keyword_task(120, vocab_size=30, seq_len=dims["seq_len"], seed=5)
@@ -83,7 +96,11 @@ def digest(case: str) -> dict:
     train_set, val_set = split_train_val(dataset, 0.1)
     spec = resolve_model(name, ModelSpec(kind="cnn", vocab_size=len(vocab), **dims))
     config = TrainConfig(spec=spec, optimizer=optimizer, epochs=2, batch_size=16, init_seed=3, shuffle_seed=4)
-    model, report = train(config, train_set, val_set, vocab)
+    return train(config, train_set, val_set, vocab)
+
+
+def digest(model, report) -> dict:
+    """The SHA-256 of a trained model's checkpoint bytes and of its report's ``deterministic_dict()``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.rchw"
         save_checkpoint(model, path)
@@ -92,24 +109,97 @@ def digest(case: str) -> dict:
     return {"checkpoint": hashlib.sha256(checkpoint).hexdigest(), "report": hashlib.sha256(blob).hexdigest()}
 
 
+def outcome(case: str) -> dict:
+    """``case``'s digests, its trained tensors flattened, and its report's ``deterministic_dict()``."""
+    model, report = trained(case)
+    tensors = {name: v.value.ravel().tolist() for name, v in model.params.items()}
+    return {"digests": digest(model, report), "tensors": tensors, "report": report.deterministic_dict()}
+
+
 def computed() -> dict:
     """The configuration and every case's digest, in this process."""
-    return {"configuration": configuration(), "digests": {case: digest(case) for case in CASES}}
+    return {"configuration": configuration(), "digests": {case: digest(*trained(case)) for case in CASES}}
 
 
-def pinned() -> dict:
-    """``computed()`` in one child process with one BLAS thread."""
+def outcomes() -> dict:
+    """Every case's ``outcome``, in this process."""
+    return {case: outcome(case) for case in CASES}
+
+
+def pinned(src: Path = ROOT / "src", call: str = "computed()") -> dict:
+    """``golden.<call>`` in one child process with one BLAS thread, importing the package from ``src``."""
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(src), str(here), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    code = "import json, golden; print(json.dumps(golden.computed()))"
+    code = f"import json, golden; print(json.dumps(golden.{call}))"
     return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
 
 
-def main() -> None:
-    DIGESTS.write_text(json.dumps(pinned(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(CASES)} digests to {DIGESTS}")
+def extract_src(rev: str, into: Path) -> Path:
+    """REV's ``src/`` from the local object store, with ``git archive``, under ``into``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+ACCURACIES = ("train_accuracy", "val_accuracy", "best_val_accuracy", "final_test_accuracy")
+
+
+def drift(base: dict, change: dict) -> tuple[list[str], bool]:
+    """Compare two ``outcomes()`` case by case: the report's lines, and whether
+    every accuracy and ``best_epoch`` is equal and no tensor moved by more than
+    ``DRIFT_BOUND`` of its largest entry in ``base``."""
+    lines, ok = [], True
+    for case, old in base.items():
+        new = change[case]
+        if old["digests"] == new["digests"]:
+            lines.append(f"{case}: equal")
+            continue
+        worst, rows = 0.0, []
+        for name, values in old["tensors"].items():
+            p, q = np.asarray(values), np.asarray(new["tensors"][name])
+            delta = float(np.abs(q - p).max())
+            if delta > 0.0:
+                scale = float(np.abs(p).max())
+                rel = delta / scale if scale > 0.0 else float("inf")
+                worst = max(worst, rel)
+                rows.append(f"    {name}: max|Δ| {delta:.2e}, max|Δ|/max|p| {rel:.2e}")
+        a, b = old["report"], new["report"]
+        loss = max(abs(x - y) for x, y in zip(a["train_loss"], b["train_loss"]))
+        accuracies, best = all(a[key] == b[key] for key in ACCURACIES), a["best_epoch"] == b["best_epoch"]
+        ok = ok and accuracies and best and worst <= DRIFT_BOUND
+        moved = ", ".join(f"{key} {'equal' if old['digests'][key] == new['digests'][key] else 'moved'}"
+                          for key in ("checkpoint", "report"))
+        lines.append(f"{case}: {moved}; {len(rows)} of {len(old['tensors'])} tensors moved, max|Δ|/max|p| {worst:.2e}; "
+                     f"train loss max|Δ| {loss:.2e}; accuracies {'equal' if accuracies else 'DIFFER'}; "
+                     f"best_epoch {'equal' if best else 'DIFFERS'}")
+        lines += rows
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden digests, or report the drift from REV's package.")
+    parser.add_argument("--against", metavar="REV", help="train every case on REV's package and on this one, and compare")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        DIGESTS.write_text(json.dumps(pinned(), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(CASES)} digests to {DIGESTS}")
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            src = extract_src(args.against, Path(tmp))
+        except subprocess.CalledProcessError as err:
+            print(f"cannot extract {args.against}'s src/: {err.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+            return 2
+        base = pinned(src, "outcomes()")
+    lines, ok = drift(base, pinned(call="outcomes()"))
+    moved = sum(not line.startswith(" ") and not line.endswith(": equal") for line in lines)
+    print("\n".join(lines))
+    print(f"{moved} of {len(base)} cases moved; {'within' if ok else 'OUTSIDE'} the drift bound {DRIFT_BOUND:g}, "
+          f"accuracies and best_epoch")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

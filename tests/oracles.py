@@ -15,7 +15,7 @@ import numpy as np
 
 from rcnnlab.autodiff import Variable, _stable_sigmoid, record
 from rcnnlab.errors import ContractError, ShapeError
-from rcnnlab.layers import _softmax, _softmax_grad, concat
+from rcnnlab.layers import _softmax, _softmax_grad, _steps, _time_major, concat
 
 
 def matmul(a, b):
@@ -284,6 +284,30 @@ def taped_lstm_scan(inputs, p, direction):
         return h_t, (h_t, c_t)
 
     return taped_scan(inputs, step, (_zero_state(inputs, p), _zero_state(inputs, p)), direction)
+
+
+def whole_credit(self, recurrent, *carries):
+    """``layers._Recurrence.credit`` as the recurrent kernels ran before their
+    backward worked in time blocks: one block of all T steps, credited on whole
+    arrays. da, x and each U operand are copied into [T·B, ·] rows; dW, each dU
+    and dx are one matmul over them, and db their column sum. Patched in for
+    ``credit``, it gives a kernel's gradients in their old bits."""
+    (k, width, gates, hidden), n = self.dims, self.n
+    da = np.empty((self.steps, gates * n, self.batch))
+    yield slice(0, self.steps), da
+    rows = [a.transpose(0, 2, 1).reshape(self.steps * self.batch, -1) for a in (da, *(a for a, _g in recurrent))]
+    flat, ends = rows[0], np.cumsum([0] + [g * n for _a, g in recurrent])
+    du = np.concatenate([r.T @ flat[:, lo:hi] for r, lo, hi in zip(rows[1:], ends, ends[1:])], 1)
+    dw = (self.xs.reshape(len(flat), -1).T @ flat).reshape(k, width, gates, k, hidden)
+    du, db = du.reshape(k, hidden, gates, k, hidden), flat.sum(axis=0).reshape(gates, k, hidden)
+    for j, vs in enumerate(self.params):
+        for v, gv in zip(vs, [*dw[j, :, :, j].swapaxes(0, 1), *du[j, :, :, j].swapaxes(0, 1), *db[:, j]]):
+            v.ensure_grad()[...] += gv
+    dxs = np.split((flat @ self.w.T).reshape(self.steps, self.batch, -1), k, axis=2)
+    for (_p, reverse, _band), dx in zip(self.dirs, dxs):
+        _time_major(_steps(self.x.ensure_grad()), reverse)[...] += dx
+    for s, carry in zip(self.states, carries):
+        s.ensure_grad()[...] += carry.T
 
 
 def taped_transpose(x):

@@ -12,7 +12,7 @@ from golden import same_blas
 from oracles import (
     add, conv_oracle, dense_highway_grads, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv,
     taped_conv_pool, taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan,
-    taped_lstm_step, whole_dense_relu, whole_highway,
+    taped_lstm_step, whole_credit, whole_dense_relu, whole_highway,
 )
 
 from rcnnlab import checks
@@ -495,6 +495,16 @@ class TestBirnnContext:
         peak, _out = traced_peak(lambda: L.birnn_context(x, *pair))
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_backward_keeps_no_row_copies(self):
+        """rcnn-hw-long's training shape. The backward holds one time block of da and
+        credits it in place; with da, h and r*h copied into [T·B, ·] rows, the peak was 27.5 MiB."""
+        rng = np.random.default_rng(51)
+        x, pair = Variable(rng.uniform(-1, 1, (32, 500, 16))), gru_pair(rng, 16, 8)
+        with Tape() as tape:
+            loss = sum_all(L.birnn_context(x, *pair))
+        peak, _out = traced_peak(lambda: backward(tape, loss))
+        assert peak < 17 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_one_tape_node(self):
         rng = np.random.default_rng(47)
         with Tape() as tape:
@@ -521,6 +531,33 @@ class TestBirnnContext:
         _out, ref_grads = weighted_grads(lambda xs: L.birnn_context(xs, *pair), pair, [x], np.ones((2, 4, 8)))
         np.testing.assert_array_equal(landed[0], ref_grads[1 + 4])  # x, then p_fwd's w_r w_z w_h u_r u_z
         np.testing.assert_array_equal(landed[1], ref_grads[1 + 9 + 4])
+
+
+class TestBlockedBackward:
+    """The recurrent backward, run and credited in time blocks, against the
+    whole-array [T·B, ·] epilogue it replaced (``oracles.whole_credit``): x's
+    gradient byte for byte, the weights' and biases' within 1e-12 relative, as
+    the per-step products sum in another order."""
+
+    @pytest.mark.parametrize("batch,steps,embed,hidden", [(4, 1, 5, 3), (12, 75, 16, 8), (16, 64, 16, 8), (32, 500, 16, 8)])
+    @pytest.mark.parametrize("kernel", ["gru_scan forward", "gru_scan backward", "birnn_context", "lstm_scan forward"])
+    def test_matches_whole_array_epilogue(self, kernel, batch, steps, embed, hidden, monkeypatch):
+        rng = np.random.default_rng(52)
+        name, *direction = kernel.split()
+        if name == "birnn_context":
+            p = gru_pair(rng, embed, hidden)
+            forward = lambda xs: L.birnn_context(xs, *p)
+        else:
+            p = random_params(L.GruParams if name == "gru_scan" else L.LstmParams, rng, embed, hidden)
+            forward = lambda xs: getattr(L, name)(xs, p, *direction)
+        x = rng.uniform(-1, 1, (batch, steps, embed))
+        w = rng.normal(size=forward(Variable(x)).shape)
+        _out, grads = weighted_grads(forward, p, [x], w)
+        monkeypatch.setattr(L._Recurrence, "credit", whole_credit)
+        _out, whole = weighted_grads(forward, p, [x], w)
+        np.testing.assert_array_equal(grads[0], whole[0])
+        for g, wg in zip(grads[1:], whole[1:]):
+            assert_rel_close(g, wg)
 
 
 class TestKernelProperties:
