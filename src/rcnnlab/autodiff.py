@@ -13,13 +13,17 @@ backward rule is written by hand (``record``). There is no implicit
 broadcasting: each kernel checks its operands' shapes and broadcasts a bias
 only over the leading axes that its backward sums.
 
-A gradient may carry a row hint, ``grad_rows``: the sorted indices of the
-first axis outside which ``grad`` is exactly +0.0, or ``None`` when any row
-may be nonzero. Only the embedding's backward sets it, pooled or not, so the
-RMSprop and Adadelta steps update only the table rows a batch used.
-``ensure_grad`` and ``zero_grad`` clear it, so any other op that adds into
-the gradient makes it dense again and no stale hint survives. Scaling
-``grad`` in place keeps it valid.
+A gradient may be row-compact: ``grad_rows``, the sorted indices of the
+first axis outside which the gradient is exactly +0.0, and ``row_sums``, its
+[U, D] values on those U rows. Only the embedding's backward stores one
+(``add_row_sums``), pooled or not, so a training step neither zero-fills nor
+scatters a dense [V, D] table gradient, and the RMSprop and Adadelta steps
+and ``clip_gradients`` work on the U rows alone. Reading ``grad`` builds the
+dense array once, +0.0 outside the rows, and keeps ``grad_rows`` as a hint
+that it is zero there; assigning ``grad`` drops the compact form and leaves
+the hint. ``ensure_grad`` and ``zero_grad`` clear the hint, so any other op
+that adds into the gradient makes it dense and no stale hint survives.
+Scaling ``grad`` or ``row_sums`` in place keeps it valid.
 """
 
 from __future__ import annotations
@@ -70,29 +74,57 @@ def taping() -> bool:
 class Variable:
     """A float64 tensor paired with a lazily allocated gradient buffer."""
 
-    __slots__ = ("value", "grad", "grad_rows", "node_id")
+    __slots__ = ("value", "_grad", "grad_rows", "row_sums", "node_id")
 
     def __init__(self, value, node_id: int | None = None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
         self.grad_rows: np.ndarray | None = None
+        self.row_sums: np.ndarray | None = None
         self.node_id = node_id
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The dense gradient; a compact one is built into it on first read."""
+        if self.row_sums is not None:
+            self._grad = np.zeros_like(self.value)
+            self._grad[self.grad_rows] = self.row_sums
+            self.row_sums = None
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad, self.row_sums = value, None
+
+    def add_row_sums(self, rows: np.ndarray, sums: np.ndarray) -> None:
+        """Add [U, D] ``sums`` into the gradient at the sorted ``rows``. A first
+        gradient stays compact; onto an existing one they are added densely and
+        the row hints union. A bincount or matmul sum starts at +0.0, so none
+        is -0.0 and the dense gradient's zero rows stay +0.0."""
+        if self._grad is None and self.row_sums is None:
+            self.grad_rows, self.row_sums = rows, sums
+            return
+        grad = self.grad
+        if self.grad_rows is not None:
+            self.grad_rows = np.union1d(self.grad_rows, rows)
+        grad[rows] += sums
+
     def ensure_grad(self) -> np.ndarray:
+        grad = self.grad
+        if grad is None:
+            grad = self.grad = np.zeros_like(self.value)
         self.grad_rows = None
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        return self.grad
+        return grad
 
     def zero_grad(self) -> None:
-        self.grad = self.grad_rows = None
+        self._grad = self.grad_rows = self.row_sums = None
 
     def __repr__(self) -> str:
-        return f"Variable(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
+        return f"Variable(shape={self.shape}, grad={'none' if self._grad is None and self.row_sums is None else 'set'})"
 
 
 class Tape:

@@ -136,7 +136,8 @@ def train(
     """Epoch loop: forward, loss, backward, clip, step; keeps the best
     validation parameters and stops early after ``patience`` stale epochs.
     A non-finite loss, or pre-clip gradient norm, aborts with NumericError
-    before the step."""
+    before the step; it names the first parameter, or gradient, that holds a
+    non-finite value."""
     model = build_model(config.spec, config.init_seed)
     optimizer = make_optimizer(config.optimizer, model.parameters(), lr=config.lr)
     clip_norm = config.resolved_clip_norm()
@@ -156,10 +157,10 @@ def train(
                 probs = model.forward(batch)
                 loss = cross_entropy_loss(probs, batch.labels)
             loss_value = float(loss.value)
-            if not np.isfinite(loss_value):
-                raise NumericError(
-                    f"non-finite loss {loss_value} at epoch {epoch}, batch {batch_index}"
-                )
+            if not np.isfinite(loss_value):  # the scan runs only here, so a finite step pays nothing
+                bad = next((n for n, p in model.params.items() if not np.isfinite(p.value).all()), None)
+                raise NumericError(f"non-finite loss {loss_value} at epoch {epoch}, batch {batch_index}, "
+                                   + (f"first non-finite parameter {bad}" if bad else "all parameters finite"))
             backward(tape, loss)
             # Clipping's pre-clip norm is free; without clipping a bad gradient shows as the next loss.
             if clip_norm is not None and not math.isfinite(norm := clip_gradients(model.parameters(), clip_norm)):

@@ -161,32 +161,17 @@ def _rows_used(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray
     return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
 
 
-def _add_row_sums(table: Variable, rows: np.ndarray, sums: np.ndarray) -> None:
-    """Add [U, D] sums into the table's dense gradient at ``rows`` and union its row hint
-    (``Variable.grad_rows``). A bincount or matmul sum starts at +0.0, so none is -0.0."""
-    if table.grad is None:
-        table.grad, table.grad_rows = np.zeros_like(table.value), rows
-        table.grad[rows] = sums
-        return
-    if table.grad_rows is not None:
-        table.grad_rows = np.union1d(table.grad_rows, rows)
-    table.grad[rows] += sums
-
-
 def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
     """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order: one
-    bincount over the U·D cells of the U rows used, or over all V·D if the table has no gradient yet."""
+    bincount over the U·D cells of the U rows used."""
     _check_ids(ids, table.shape[0])
     out = Variable(table.value[ids])
 
     def bw(g: np.ndarray) -> None:
-        (rows, inverse), (vocab, width) = _rows_used(ids, table.shape[0]), table.shape
-        at, count = (ids, vocab) if table.grad is None else (inverse, rows.size)
-        cells = (at.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        sums = np.bincount(cells, weights=g.reshape(-1), minlength=count * width).reshape(count, width)
-        if table.grad is not None:
-            return _add_row_sums(table, rows, sums)
-        table.grad, table.grad_rows = sums, rows  # the sums over all V·D cells: no zero fill, no scatter
+        (rows, inverse), width = _rows_used(ids, table.shape[0]), table.shape[1]
+        cells = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size * width)
+        table.add_row_sums(rows, sums.reshape(rows.size, width))
 
     return record("embedding_lookup", out, bw)
 
@@ -206,7 +191,7 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
     cells = (np.arange(batch_size)[:, None] * rows.size + inverse)[valid]
     counts = np.bincount(cells, minlength=batch_size * rows.size).reshape(batch_size, -1).astype(np.float64)
     bag = Variable(counts @ table.value[rows])
-    return record("embedding_bag", bag, lambda g: _add_row_sums(table, rows, counts.T @ g))
+    return record("embedding_bag", bag, lambda g: table.add_row_sums(rows, counts.T @ g))
 
 
 # ---------------------------------------------------------------------------

@@ -41,19 +41,28 @@ def cross_entropy_loss(probs: Variable, labels: np.ndarray) -> Variable:
 def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A row-compact gradient stays compact: its
+    squares are summed from a zero array with the squared rows scattered in,
+    the array ``grad * grad`` would be, so the norm has the same bits, and
+    its row sums are scaled in place.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for p in params:
-        if p.grad is not None:
+        if p.row_sums is not None:
+            squares = np.zeros_like(p.value)
+            squares[p.grad_rows] = p.row_sums * p.row_sums
+            total += float(np.sum(squares))
+        elif p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            if p.grad is not None:
+            if p.row_sums is not None:
+                p.row_sums *= scale
+            elif p.grad is not None:
                 p.grad *= scale
     return norm
 
@@ -66,8 +75,11 @@ class _Optimizer:
         return p.grad if p.grad is not None else np.zeros_like(p.value)
 
     def _rows(self, p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
-        """``p``'s gradient gathered on the rows it may be nonzero on, and
-        those rows (``...`` for all of them)."""
+        """``p``'s gradient on the rows it may be nonzero on, and those rows
+        (``...`` for all of them): a compact gradient's row sums as they are,
+        else the dense gradient gathered on its hinted rows."""
+        if p.row_sums is not None:
+            return p.row_sums, p.grad_rows
         rows = ... if p.grad_rows is None else p.grad_rows
         return self._grad(p)[rows], rows
 
@@ -80,7 +92,8 @@ class RmsProp(_Optimizer):
     """cache <- rho*cache + (1-rho)*g^2;  p <- p - lr*g/(sqrt(cache)+eps).
 
     The decay runs over the whole cache; the rest runs only on the rows the
-    gradient may be nonzero on (``Variable.grad_rows``). That is bit-identical
+    gradient may be nonzero on (``Variable.grad_rows``), reading a row-compact
+    gradient's row sums without building its dense array. That is bit-identical
     to the dense update: on a zero-gradient row it computes rho*c + 0.0 with
     c >= 0 and p - 0.0, which leave the bits as they are.
     """

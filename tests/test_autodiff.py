@@ -287,6 +287,55 @@ class TestBackward:
         assert len(tape) == 0
 
 
+class TestCompactGradient:
+    """A row-compact gradient, ``grad_rows`` plus their ``row_sums``, and the
+    dense array that reading ``grad`` builds from it."""
+
+    @staticmethod
+    def compact():
+        v = Variable(np.ones((5, 2)))
+        v.add_row_sums(np.array([1, 4]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        return v
+
+    def test_repr_does_not_build_the_dense_array(self):
+        v = self.compact()
+        assert repr(v) == "Variable(shape=(5, 2), grad=set)"
+        assert v.row_sums is not None
+
+    def test_first_read_builds_the_dense_array_once_and_keeps_the_hint(self):
+        v = self.compact()
+        dense = v.grad
+        np.testing.assert_array_equal(dense, [[0, 0], [1, 2], [0, 0], [0, 0], [3, 4]])
+        assert not np.signbit(dense).any()
+        assert v.grad is dense and v.row_sums is None
+        np.testing.assert_array_equal(v.grad_rows, [1, 4])
+
+    def test_assignment_drops_the_compact_form_and_leaves_the_hint(self):
+        v = self.compact()
+        v.grad = np.full((5, 2), 7.0)
+        assert v.row_sums is None
+        np.testing.assert_array_equal(v.grad, np.full((5, 2), 7.0))
+        np.testing.assert_array_equal(v.grad_rows, [1, 4])
+
+    def test_second_row_sums_are_added_densely_and_union_the_hint(self):
+        v = self.compact()
+        v.add_row_sums(np.array([0, 4]), np.array([[5.0, 5.0], [1.0, 1.0]]))
+        assert v.row_sums is None
+        np.testing.assert_array_equal(v.grad, [[5, 5], [1, 2], [0, 0], [0, 0], [4, 5]])
+        np.testing.assert_array_equal(v.grad_rows, [0, 1, 4])
+
+    def test_ensure_grad_builds_then_clears_the_hint(self):
+        v = self.compact()
+        np.testing.assert_array_equal(v.ensure_grad()[[1, 4]], [[1, 2], [3, 4]])
+        assert v.grad_rows is None and v.row_sums is None
+
+    def test_zero_grad_clears_everything(self):
+        v = self.compact()
+        v.zero_grad()
+        assert v.grad is None and v.grad_rows is None and v.row_sums is None
+        assert repr(v) == "Variable(shape=(5, 2), grad=none)"
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares(self):
         def f(v):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcnnlab import harness
-from rcnnlab.autodiff import backward
+from rcnnlab.autodiff import Variable, backward
 from rcnnlab.data import build_vocab, gen_keyword_task
 from rcnnlab.errors import CheckpointError, ConfigError, ContractError, NumericError
 from rcnnlab.harness import (
@@ -120,6 +120,30 @@ class TestTrain:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericError, match="epoch 0"):
                 train(cfg, train_set, val_set, vocab)
+
+    def test_non_finite_loss_names_the_first_non_finite_parameter(self, task, monkeypatch):
+        """Without clipping, a step that writes a NaN shows as the next loss,
+        which names the parameter holding it."""
+        train_set, val_set, _test, vocab = task
+        built, cls = [], OPTIMIZERS["rmsprop"]
+        monkeypatch.setattr(harness, "build_model", lambda spec, seed: built.append(build_model(spec, seed)) or built[0])
+
+        def poisoned(self, original=cls.step):
+            original(self)
+            built[0].params["head.w"].value[0] = np.nan
+
+        monkeypatch.setattr(cls, "step", poisoned)
+        cfg = tiny_config("cow", vocab_size=len(vocab), clip_norm=0)
+        with pytest.raises(NumericError, match=r"^non-finite loss nan at epoch 0, batch 1, first non-finite parameter head\.w$"):
+            train(cfg, train_set, val_set, vocab)
+
+    def test_non_finite_loss_on_finite_parameters_says_so(self, task, monkeypatch):
+        train_set, val_set, _test, vocab = task
+        losses = iter([1.0, np.nan])
+        monkeypatch.setattr(harness, "cross_entropy_loss", lambda probs, labels: Variable(np.array(next(losses))))
+        cfg = tiny_config("cow", vocab_size=len(vocab), clip_norm=0)
+        with pytest.raises(NumericError, match=r"^non-finite loss nan at epoch 0, batch 1, all parameters finite$"):
+            train(cfg, train_set, val_set, vocab)
 
     def test_non_finite_gradient_aborts_before_the_step_and_names_it(self, task, monkeypatch):
         """A NaN in two parameters' gradients stops training before the

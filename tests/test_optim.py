@@ -186,6 +186,35 @@ class TestRowHint:
                                               getattr(opts[1], name)[0].view(np.uint64))
         assert not hinted.value[11].any() and np.signbit(hinted.value[11]).all()
 
+    @pytest.mark.parametrize("cls,state", [(RmsProp, ("cache",)), (Adadelta, ("acc_grad", "acc_delta"))])
+    def test_compact_steps_match_dense_steps_bit_for_bit(self, cls, state):
+        """Steps on a row-compact gradient read its row sums as they are,
+        build no dense array, and leave the same parameter and state bits as
+        steps on the same gradient stored densely, with no hint."""
+        rng = np.random.default_rng(91)
+        value = rng.normal(size=(12, 3))
+        value[[0, 5, 9], 1] = -0.0
+        value[11] = -0.0  # a row no step uses
+        compact, dense = Variable(value.copy()), Variable(value.copy())
+        opts = cls([compact]), cls([dense])
+        for _ in range(6):
+            rows = np.sort(rng.choice(11, 4, replace=False))
+            sums = rng.normal(size=(4, 3))
+            sums[0] = 0.0
+            compact.add_row_sums(rows, sums)
+            dense.grad = np.zeros_like(value)
+            dense.grad[rows] = sums
+            for opt in opts:
+                opt.step()
+            assert compact.row_sums is sums
+            np.testing.assert_array_equal(compact.value.view(np.uint64), dense.value.view(np.uint64))
+            for name in state:
+                np.testing.assert_array_equal(getattr(opts[0], name)[0].view(np.uint64),
+                                              getattr(opts[1], name)[0].view(np.uint64))
+            for opt in opts:
+                opt.zero_grads()
+        assert not compact.value[11].any() and np.signbit(compact.value[11]).all()
+
 
 class TestClip:
     def test_norm_above_cap_scales(self):
@@ -210,6 +239,33 @@ class TestClip:
             clip_gradients(vs, max_norm=5.0)
             total = math.sqrt(sum(float(np.sum(v.grad**2)) for v in vs))
             assert total <= 5.0 + 1e-9
+
+    @pytest.mark.parametrize("max_norm", [0.5, 1e3])
+    def test_compact_gradient_clips_as_its_dense_array(self, max_norm):
+        """A row-compact gradient gives the norm of its dense array bit for bit,
+        and is scaled to the same bits without being built; its row sums and
+        hint survive. A dense hinted gradient keeps its hint through the
+        scaling too."""
+        rng = np.random.default_rng(92)
+        rows, sums = np.array([0, 3, 7, 8]), rng.normal(size=(4, 5))
+        other = rng.normal(size=(6,))
+
+        def variables(compact: bool):
+            table, bias = Variable(np.zeros((10, 5))), Variable(np.zeros(6))
+            table.add_row_sums(rows, sums.copy())
+            if not compact:
+                table.grad  # build the dense array, hint kept
+            bias.grad = other.copy()
+            return table, bias
+
+        compact, dense = variables(True), variables(False)
+        norm = clip_gradients(list(compact), max_norm)
+        assert norm == clip_gradients(list(dense), max_norm) and norm > 1.0
+        assert compact[0].row_sums is not None
+        for v in (compact[0], dense[0]):
+            np.testing.assert_array_equal(v.grad_rows, rows)
+        for c, d in zip(compact, dense):
+            np.testing.assert_array_equal(c.grad.view(np.uint64), d.grad.view(np.uint64))
 
     def test_invalid_cap(self):
         with pytest.raises(ConfigError):
