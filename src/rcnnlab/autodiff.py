@@ -16,14 +16,15 @@ only over the leading axes that its backward sums.
 A gradient may be row-compact: ``grad_rows``, the sorted indices of the
 first axis outside which the gradient is exactly +0.0, and ``row_sums``, its
 [U, D] values on those U rows. Only the embedding's backward stores one
-(``add_row_sums``), pooled or not, so a training step neither zero-fills nor
-scatters a dense [V, D] table gradient, and the RMSprop and Adadelta steps
-and ``clip_gradients`` work on the U rows alone. Reading ``grad`` builds the
-dense array once, +0.0 outside the rows, and keeps ``grad_rows`` as a hint
-that it is zero there; assigning ``grad`` drops the compact form and leaves
-the hint. ``ensure_grad`` and ``zero_grad`` clear the hint, so any other op
-that adds into the gradient makes it dense and no stale hint survives.
-Scaling ``grad`` or ``row_sums`` in place keeps it valid.
+(``add_row_sums``), pooled or not, and the RMSprop and Adadelta steps read
+its U rows as they are, so a step that does not clip neither zero-fills nor
+scatters a dense [V, D] table gradient. Reading ``grad``, as
+``clip_gradients`` does, builds the dense array once, +0.0 outside the rows,
+and keeps ``grad_rows`` as a hint that it is zero there; assigning ``grad``
+drops the compact form and leaves the hint. ``ensure_grad`` and
+``zero_grad`` clear the hint, so any other op that adds into the gradient
+makes it dense and no stale hint survives. Scaling ``grad`` in place keeps
+it valid.
 """
 
 from __future__ import annotations

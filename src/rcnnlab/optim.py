@@ -41,28 +41,19 @@ def cross_entropy_loss(probs: Variable, labels: np.ndarray) -> Variable:
 def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm. A row-compact gradient stays compact: its
-    squares are summed from a zero array with the squared rows scattered in,
-    the array ``grad * grad`` would be, so the norm has the same bits, and
-    its row sums are scaled in place.
+    Returns the pre-clip norm.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for p in params:
-        if p.row_sums is not None:
-            squares = np.zeros_like(p.value)
-            squares[p.grad_rows] = p.row_sums * p.row_sums
-            total += float(np.sum(squares))
-        elif p.grad is not None:
+        if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            if p.row_sums is not None:
-                p.row_sums *= scale
-            elif p.grad is not None:
+            if p.grad is not None:
                 p.grad *= scale
     return norm
 

@@ -242,30 +242,32 @@ class TestClip:
 
     @pytest.mark.parametrize("max_norm", [0.5, 1e3])
     def test_compact_gradient_clips_as_its_dense_array(self, max_norm):
-        """A row-compact gradient gives the norm of its dense array bit for bit,
-        and is scaled to the same bits without being built; its row sums and
-        hint survive. A dense hinted gradient keeps its hint through the
-        scaling too."""
+        """A row-compact gradient gives the same norm, bit for bit, and is
+        scaled to the same bits as the same gradient stored densely with no
+        hint; its row hint survives the scaling."""
         rng = np.random.default_rng(92)
         rows, sums = np.array([0, 3, 7, 8]), rng.normal(size=(4, 5))
         other = rng.normal(size=(6,))
 
         def variables(compact: bool):
             table, bias = Variable(np.zeros((10, 5))), Variable(np.zeros(6))
-            table.add_row_sums(rows, sums.copy())
-            if not compact:
-                table.grad  # build the dense array, hint kept
+            if compact:
+                table.add_row_sums(rows, sums.copy())
+            else:
+                table.grad = np.zeros((10, 5))
+                table.grad[rows] = sums
             bias.grad = other.copy()
             return table, bias
 
         compact, dense = variables(True), variables(False)
         norm = clip_gradients(list(compact), max_norm)
         assert norm == clip_gradients(list(dense), max_norm) and norm > 1.0
-        assert compact[0].row_sums is not None
-        for v in (compact[0], dense[0]):
-            np.testing.assert_array_equal(v.grad_rows, rows)
+        np.testing.assert_array_equal(compact[0].grad_rows, rows)
+        assert dense[0].grad_rows is None
         for c, d in zip(compact, dense):
             np.testing.assert_array_equal(c.grad.view(np.uint64), d.grad.view(np.uint64))
+        if norm > max_norm:
+            np.testing.assert_array_equal(compact[0].grad[rows], sums * (max_norm / norm))
 
     def test_invalid_cap(self):
         with pytest.raises(ConfigError):
