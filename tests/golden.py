@@ -6,7 +6,11 @@ A few desk-size cases (T=64, embed 16, hidden 8, 32 filters) ride along,
 because the smallest shapes can miss the BLAS paths where sums reorder. One
 ``rcnn-hw`` case at T=75 ends the forward's blocks early: its batches of
 16·75 = 1,200 positions are no multiple of the highway's 512-row blocks, and
-75 steps no multiple of the recurrence's 32-step time blocks.
+75 steps no multiple of the recurrence's 32-step time blocks. One
+``rcnn-hw`` case clips: its clip norm of 0.05 lies below every step's
+pre-clip norm, so every step scales its gradients, and its 400 filler words
+are more than one batch looks up, so the table's gradient is row-compact on
+a strict subset of its rows when it is scaled.
 
 Float bits are not portable across numpy versions, BLAS builds, CPUs or
 BLAS thread counts, so ``golden_digests.json`` records the configuration it
@@ -57,12 +61,13 @@ SIZES = {
     "small": {"seq_len": 16, "embed_dim": 6, "hidden_dim": 3, "num_filters": 5},
     "desk": {"seq_len": 64, "embed_dim": 16, "hidden_dim": 8, "num_filters": 32},
     "ragged": {"seq_len": 75, "embed_dim": 16, "hidden_dim": 8, "num_filters": 32},
+    "clipped": {"seq_len": 16, "embed_dim": 6, "hidden_dim": 3, "num_filters": 5, "filler": 400, "clip_norm": 0.05},
 }
 DESK_NAMES = ("cnn", "rcnn", "rcnn-hw", "rcnn-hw-2", "rcnn-hw-mlp", "lstm-avg", "bilstm-avg", "cnn-lstm")
 
 CASES = [f"{name}/{opt}/small" for name in (*KINDS, *ABLATION_VARIANTS) for opt in sorted(OPTIMIZERS)]
 CASES += [f"{name}/rmsprop/desk" for name in DESK_NAMES]
-CASES += ["rcnn-hw/rmsprop/ragged"]
+CASES += ["rcnn-hw/rmsprop/ragged", "rcnn-hw/rmsprop/clipped"]
 
 
 def configuration() -> dict:
@@ -90,12 +95,14 @@ def same_blas() -> bool:
 def trained(case: str):
     """Train ``case`` ("name/optimizer/size") for two epochs: the model and its report."""
     name, optimizer, size = case.split("/")
-    dims = SIZES[size]
-    dataset = gen_keyword_task(120, vocab_size=30, seq_len=dims["seq_len"], seed=5)
+    dims = dict(SIZES[size])
+    filler, clip_norm = dims.pop("filler", 30), dims.pop("clip_norm", None)  # None: the model kind's default
+    dataset = gen_keyword_task(120, vocab_size=filler, seq_len=dims["seq_len"], seed=5)
     vocab = build_vocab(dataset, min_freq=1)
     train_set, val_set = split_train_val(dataset, 0.1)
     spec = resolve_model(name, ModelSpec(kind="cnn", vocab_size=len(vocab), **dims))
-    config = TrainConfig(spec=spec, optimizer=optimizer, epochs=2, batch_size=16, init_seed=3, shuffle_seed=4)
+    config = TrainConfig(spec=spec, optimizer=optimizer, epochs=2, batch_size=16, init_seed=3, shuffle_seed=4,
+                         clip_norm=clip_norm)
     return train(config, train_set, val_set, vocab)
 
 

@@ -4,7 +4,9 @@ import hashlib
 import json
 
 import pytest
-from golden import CASES, DIGESTS, DRIFT_BOUND, drift, pinned
+from golden import CASES, DIGESTS, DRIFT_BOUND, SIZES, drift, pinned, trained
+
+from rcnnlab import harness
 
 GOLDEN = json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -26,6 +28,22 @@ def test_training_matches_golden_digest(case, computed):
                            for k in sorted(set(here) | set(recorded)) if here.get(k) != recorded.get(k))
         pytest.skip(f"digests were recorded on another configuration ({differ})")
     assert computed["digests"][case] == GOLDEN["digests"][case]
+
+
+def test_clipped_case_scales_every_step_on_a_strict_subset_of_rows(monkeypatch):
+    """The clipped case reaches clipping with the table's gradient row-compact
+    on fewer rows than the table has, and every step's norm exceeds the cap."""
+    calls, clip = [], harness.clip_gradients
+
+    def counting(params, max_norm):
+        table = params[0]
+        calls.append((table.row_sums is not None and len(table.grad_rows) < len(table.value), clip(params, max_norm)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "clip_gradients", counting)
+    trained("rcnn-hw/rmsprop/clipped")
+    assert len(calls) == 14
+    assert all(compact and norm > SIZES["clipped"]["clip_norm"] for compact, norm in calls)
 
 
 def fake_outcome(tensors, best_epoch=1, val_accuracy=0.5, loss=0.7):
