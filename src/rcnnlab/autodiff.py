@@ -13,18 +13,14 @@ backward rule is written by hand (``record``). There is no implicit
 broadcasting: each kernel checks its operands' shapes and broadcasts a bias
 only over the leading axes that its backward sums.
 
-A gradient may be row-compact: ``grad_rows``, the sorted indices of the
-first axis outside which the gradient is exactly +0.0, and ``row_sums``, its
-[U, D] values on those U rows. Only the embedding's backward stores one
-(``add_row_sums``), pooled or not, and the RMSprop and Adadelta steps read
-its U rows as they are, so a step that does not clip neither zero-fills nor
-scatters a dense [V, D] table gradient. Reading ``grad``, as
-``clip_gradients`` does, builds the dense array once, +0.0 outside the rows,
-and keeps ``grad_rows`` as a hint that it is zero there; assigning ``grad``
-drops the compact form and leaves the hint. ``ensure_grad`` and
-``zero_grad`` clear the hint, so any other op that adds into the gradient
-makes it dense and no stale hint survives. Scaling ``grad`` in place keeps
-it valid.
+A gradient is none, dense (``grad``), or row-compact: ``grad_rows``, the
+sorted rows of the first axis outside which it is exactly +0.0, and
+``row_sums``, its [U, D] values there. Only the embedding's backward stores
+a compact one (``add_row_sums``); clipping and the RMSprop and Adadelta steps
+read its U rows as they are. Reading ``grad`` builds the dense array and
+clears both compact fields, and assigning it clears them too, so ``grad_rows``
+never sits beside a dense array. Every other op adds into a gradient through
+``ensure_grad``, which reads ``grad``.
 """
 
 from __future__ import annotations
@@ -79,9 +75,7 @@ class Variable:
 
     def __init__(self, value, node_id: int | None = None):
         self.value = np.asarray(value, dtype=np.float64)
-        self._grad: np.ndarray | None = None
-        self.grad_rows: np.ndarray | None = None
-        self.row_sums: np.ndarray | None = None
+        self.grad = None  # and no compact form: grad_rows and row_sums are None too
         self.node_id = node_id
 
     @property
@@ -90,39 +84,33 @@ class Variable:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """The dense gradient; a compact one is built into it on first read."""
+        """The dense gradient; a compact one is built into it, and its fields cleared."""
         if self.row_sums is not None:
             self._grad = np.zeros_like(self.value)
             self._grad[self.grad_rows] = self.row_sums
-            self.row_sums = None
+            self.grad_rows = self.row_sums = None
         return self._grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        self._grad, self.row_sums = value, None
+        self._grad, self.grad_rows, self.row_sums = value, None, None
 
     def add_row_sums(self, rows: np.ndarray, sums: np.ndarray) -> None:
-        """Add [U, D] ``sums`` into the gradient at the sorted ``rows``. A first
-        gradient stays compact; onto an existing one they are added densely and
-        the row hints union. A bincount or matmul sum starts at +0.0, so none
-        is -0.0 and the dense gradient's zero rows stay +0.0."""
+        """Add [U, D] ``sums`` into the gradient at the sorted ``rows``: a first
+        gradient stays compact, and onto an existing one they add densely. A
+        bincount or matmul sum is never -0.0, so dense zero rows stay +0.0."""
         if self._grad is None and self.row_sums is None:
             self.grad_rows, self.row_sums = rows, sums
-            return
-        grad = self.grad
-        if self.grad_rows is not None:
-            self.grad_rows = np.union1d(self.grad_rows, rows)
-        grad[rows] += sums
+        else:
+            self.grad[rows] += sums
 
     def ensure_grad(self) -> np.ndarray:
-        grad = self.grad
-        if grad is None:
-            grad = self.grad = np.zeros_like(self.value)
-        self.grad_rows = None
-        return grad
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        return self._grad
 
     def zero_grad(self) -> None:
-        self._grad = self.grad_rows = self.row_sums = None
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Variable(shape={self.shape}, grad={'none' if self._grad is None and self.row_sums is None else 'set'})"

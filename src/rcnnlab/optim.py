@@ -38,41 +38,43 @@ def cross_entropy_loss(probs: Variable, labels: np.ndarray) -> Variable:
     return record("cross_entropy", out, bw)
 
 
+def _grad(p: Variable) -> np.ndarray:
+    """``p``'s dense gradient, built if it is compact, or zeros if it has none."""
+    return p.grad if p.grad is not None else np.zeros_like(p.value)
+
+
+def _rows(p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
+    """``p``'s gradient on the rows it may be nonzero on, and those rows: a
+    compact one's row sums as they are, else ``_grad`` on all rows (``...``)."""
+    return (p.row_sums, p.grad_rows) if p.row_sums is not None else (_grad(p), ...)
+
+
 def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A compact gradient's row sums are scaled in
+    place, so it stays compact. Its squares fill its rows of a zero [V, D]
+    array, so that np.sum adds the dense gradient's squares in their pairwise
+    order and the norm keeps its bits; summing the U rows alone would not.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    grads, total = [(p, *_rows(p)) for p in params], 0.0
+    for p, g, rows in grads:
+        squares = np.zeros_like(p.value)
+        squares[rows] = g * g
+        total += float(np.sum(squares))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for _, g, _ in grads:
+            g *= scale
     return norm
 
 
 class _Optimizer:
     def __init__(self, params: list[Variable]):
         self.params = list(params)
-
-    def _grad(self, p: Variable) -> np.ndarray:
-        return p.grad if p.grad is not None else np.zeros_like(p.value)
-
-    def _rows(self, p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
-        """``p``'s gradient on the rows it may be nonzero on, and those rows
-        (``...`` for all of them): a compact gradient's row sums as they are,
-        else the dense gradient gathered on its hinted rows."""
-        if p.row_sums is not None:
-            return p.row_sums, p.grad_rows
-        rows = ... if p.grad_rows is None else p.grad_rows
-        return self._grad(p)[rows], rows
 
     def zero_grads(self) -> None:
         for p in self.params:
@@ -82,11 +84,11 @@ class _Optimizer:
 class RmsProp(_Optimizer):
     """cache <- rho*cache + (1-rho)*g^2;  p <- p - lr*g/(sqrt(cache)+eps).
 
-    The decay runs over the whole cache; the rest runs only on the rows the
-    gradient may be nonzero on (``Variable.grad_rows``), reading a row-compact
-    gradient's row sums without building its dense array. That is bit-identical
-    to the dense update: on a zero-gradient row it computes rho*c + 0.0 with
-    c >= 0 and p - 0.0, which leave the bits as they are.
+    The decay runs over the whole cache; the rest runs on every row of a dense
+    gradient, and only on the rows of a row-compact one (``Variable.grad_rows``),
+    reading its row sums without building its dense array. That is
+    bit-identical to the dense update: on a zero-gradient row it computes
+    rho*c + 0.0 with c >= 0 and p - 0.0, which leave the bits as they are.
     """
 
     def __init__(self, params, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8):
@@ -96,7 +98,7 @@ class RmsProp(_Optimizer):
 
     def step(self) -> None:
         for p, cache in zip(self.params, self.cache):
-            g, rows = self._rows(p)
+            g, rows = _rows(p)
             cache *= self.rho
             cache[rows] += (1.0 - self.rho) * g * g
             p.value[rows] -= self.lr * g / (np.sqrt(cache[rows]) + self.eps)
@@ -123,7 +125,7 @@ class Adam(_Optimizer):
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = self._grad(p)
+            g = _grad(p)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -150,7 +152,7 @@ class Adadelta(_Optimizer):
 
     def step(self) -> None:
         for p, ag, ad in zip(self.params, self.acc_grad, self.acc_delta):
-            g, rows = self._rows(p)
+            g, rows = _rows(p)
             ag *= self.rho
             ag[rows] += (1.0 - self.rho) * g * g
             delta = -np.sqrt(ad[rows] + self.eps) / np.sqrt(ag[rows] + self.eps) * g

@@ -289,7 +289,7 @@ class TestBackward:
 
 class TestCompactGradient:
     """A row-compact gradient, ``grad_rows`` plus their ``row_sums``, and the
-    dense array that reading ``grad`` builds from it."""
+    dense array that reading ``grad`` builds from it, which keeps no rows."""
 
     @staticmethod
     def compact():
@@ -302,27 +302,25 @@ class TestCompactGradient:
         assert repr(v) == "Variable(shape=(5, 2), grad=set)"
         assert v.row_sums is not None
 
-    def test_first_read_builds_the_dense_array_once_and_keeps_the_hint(self):
+    def test_first_read_builds_the_dense_array_once_and_clears_the_compact_form(self):
         v = self.compact()
+        np.testing.assert_array_equal(v.grad_rows, [1, 4])
         dense = v.grad
         np.testing.assert_array_equal(dense, [[0, 0], [1, 2], [0, 0], [0, 0], [3, 4]])
         assert not np.signbit(dense).any()
-        assert v.grad is dense and v.row_sums is None
-        np.testing.assert_array_equal(v.grad_rows, [1, 4])
+        assert v.grad is dense and v.grad_rows is None and v.row_sums is None
 
-    def test_assignment_drops_the_compact_form_and_leaves_the_hint(self):
+    def test_assignment_drops_the_compact_form(self):
         v = self.compact()
         v.grad = np.full((5, 2), 7.0)
-        assert v.row_sums is None
+        assert v.grad_rows is None and v.row_sums is None
         np.testing.assert_array_equal(v.grad, np.full((5, 2), 7.0))
-        np.testing.assert_array_equal(v.grad_rows, [1, 4])
 
-    def test_second_row_sums_are_added_densely_and_union_the_hint(self):
+    def test_second_row_sums_are_added_densely_and_keep_no_rows(self):
         v = self.compact()
         v.add_row_sums(np.array([0, 4]), np.array([[5.0, 5.0], [1.0, 1.0]]))
-        assert v.row_sums is None
+        assert v.grad_rows is None and v.row_sums is None
         np.testing.assert_array_equal(v.grad, [[5, 5], [1, 2], [0, 0], [0, 0], [4, 5]])
-        np.testing.assert_array_equal(v.grad_rows, [0, 1, 4])
 
     def test_ensure_grad_builds_then_clears_the_hint(self):
         v = self.compact()

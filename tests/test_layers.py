@@ -61,8 +61,8 @@ class TestEmbedding:
     def test_gradient_matches_add_at_bit_for_bit(self, ids_shape, vocab, width):
         """Repeated ids add in np.add.at's order, and a -0.0 upstream entry
         leaves the same +0.0 bits, so the scatter is bit-identical to
-        np.add.at into a zero table: +0.0 outside the hinted rows, which are
-        the ids looked up. The pooled bag of the same ids, with ragged
+        np.add.at into a zero table: +0.0 outside the compact gradient's rows,
+        which are the ids looked up, and reading it keeps no rows. The pooled bag of the same ids, with ragged
         lengths, adds each text's upstream row once per valid position as
         count·g; that equals the repeated adds when every sum is exact, so
         its upstream entries are multiples of 1/64."""
@@ -78,10 +78,11 @@ class TestEmbedding:
             with Tape() as tape:
                 loss = sum_all(mul(forward(), Variable(upstream)))
             backward(tape, loss)
+            np.testing.assert_array_equal(table.grad_rows, np.unique(ids))
             expected = np.zeros((vocab, width))
             np.add.at(expected, at, rows_added)
             np.testing.assert_array_equal(table.grad.view(np.uint64), expected.view(np.uint64))
-            np.testing.assert_array_equal(table.grad_rows, np.unique(ids))
+            assert table.grad_rows is None and table.row_sums is None
 
         check(lambda: L.embedding_lookup(table, ids), g, ids.reshape(-1), g.reshape(-1, width))
         lengths = rng.integers(1, ids_shape[1] + 1, ids_shape[0])
@@ -104,13 +105,14 @@ class TestEmbedding:
         assert peak < table.value.nbytes, f"peak {peak / 2**20:.2f} MiB"
         assert table.row_sums is not None
 
-    def test_lookups_of_one_table_union_their_row_hints(self):
+    def test_second_lookup_of_one_table_adds_densely(self):
         table = Variable(np.ones((6, 2)))
         with Tape() as tape:
             loss = add(sum_all(L.embedding_lookup(table, np.array([[3, 1]]))),
                        sum_all(L.embedding_lookup(table, np.array([[4, 3]]))))
         backward(tape, loss)
-        np.testing.assert_array_equal(table.grad_rows, [1, 3, 4])
+        assert table.grad_rows is None and table.row_sums is None
+        np.testing.assert_array_equal(table.grad, [[0, 0], [1, 1], [0, 0], [2, 2], [1, 1], [0, 0]])
 
     @pytest.mark.parametrize("lookup_first", [True, False])
     def test_second_consumer_clears_the_row_hint(self, lookup_first):
@@ -171,9 +173,9 @@ class TestEmbeddingBag:
     @example(batch=4, steps=6, vocab=3, width=3, other="after", seed=1)
     def test_matches_lookup_then_sum_on_integers(self, batch, steps, vocab, width, other, seed):
         """Small integers make every sum exact, so the values, the table
-        gradient's bits and its row hint must match the two-node graph. An
+        gradient's bits and its compact rows must match the two-node graph. An
         unpooled lookup of the same table, recorded before or after the
-        pooled one, must union its rows into the hint."""
+        pooled one, makes the gradient dense, with no rows."""
         rng = np.random.default_rng(seed)
         value = rng.integers(-3, 4, (vocab, width)).astype(float)
         b = make_batch(rng.integers(0, vocab, (batch, steps)), rng.integers(1, steps + 1, batch))
@@ -191,14 +193,17 @@ class TestEmbeddingBag:
                 terms += [unpooled()] if other == "after" else []
                 loss = terms[0] if len(terms) == 1 else add(*terms)
             backward(tape, loss)
-            return out.value, table.grad, table.grad_rows
+            return out.value, table.grad_rows, table.grad  # the rows first: reading grad clears them
 
         got = run(lambda t: L.embed(b, L.EmbeddingParams(t), pool=True))
         ref = run(lambda t: L.sum_over_time(L.embedding_lookup(t, b.ids), b.lengths))
         np.testing.assert_array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
-        np.testing.assert_array_equal(got[1].view(np.uint64), ref[1].view(np.uint64))
-        np.testing.assert_array_equal(got[2], ref[2])
-        np.testing.assert_array_equal(got[2], np.unique([*b.ids.ravel(), *(other_ids.ravel() if other != "none" else [])]))
+        np.testing.assert_array_equal(got[2].view(np.uint64), ref[2].view(np.uint64))
+        if other == "none":
+            np.testing.assert_array_equal(got[1], np.unique(b.ids))
+            np.testing.assert_array_equal(ref[1], got[1])
+        else:
+            assert got[1] is None and ref[1] is None
 
     def test_id_out_of_range_raises_data_error(self):
         params = L.EmbeddingParams(Variable(np.zeros((3, 2))))

@@ -161,12 +161,14 @@ class TestAdadelta:
 class TestRowHint:
     @pytest.mark.parametrize("cls,state", [(RmsProp, ("cache",)), (Adadelta, ("acc_grad", "acc_delta"))])
     def test_hinted_steps_match_dense_steps_bit_for_bit(self, cls, state):
-        """Steps that update only the hinted rows leave the same parameter and
-        state bits as dense steps, -0.0 entries and zero-gradient hinted rows included."""
+        """A dense gradient is stepped on every row: ``grad_rows`` describes only
+        a compact gradient's row sums, so a hint left beside a dense array, one
+        that misses rows the gradient is nonzero on, changes no parameter or
+        state bit. -0.0 entries and zero-gradient rows included."""
         rng = np.random.default_rng(90)
         value = rng.normal(size=(12, 3))
         value[[0, 5, 9], 1] = -0.0
-        value[11] = -0.0  # a row no step hints
+        value[11] = -0.0  # a row no gradient touches
         hinted, dense = Variable(value.copy()), Variable(value.copy())
         opts = cls([hinted]), cls([dense])
         for _ in range(6):
@@ -174,10 +176,8 @@ class TestRowHint:
             g = np.zeros_like(value)
             g[rows] = rng.normal(size=(4, 3))
             g[rows[0]] = 0.0
-            for p in (hinted, dense):
-                p.grad, p.grad_rows = g.copy(), rows
-            dense.ensure_grad()
-            assert dense.grad_rows is None
+            hinted.grad, dense.grad = g.copy(), g.copy()
+            hinted.grad_rows = rows[:2]  # misses rows[2:], which are nonzero
             for opt in opts:
                 opt.step()
             np.testing.assert_array_equal(hinted.value.view(np.uint64), dense.value.view(np.uint64))
@@ -185,6 +185,28 @@ class TestRowHint:
                 np.testing.assert_array_equal(getattr(opts[0], name)[0].view(np.uint64),
                                               getattr(opts[1], name)[0].view(np.uint64))
         assert not hinted.value[11].any() and np.signbit(hinted.value[11]).all()
+
+    @pytest.mark.parametrize("cls,state", [(RmsProp, ("cache",)), (Adadelta, ("acc_grad", "acc_delta"))])
+    def test_write_through_a_read_compact_gradient_reaches_the_step(self, cls, state):
+        """Reading a compact gradient's ``grad`` leaves no rows behind, so a row
+        written through that dense array outside the compact rows is updated
+        by the step, bit for bit as from the same gradient stored densely."""
+        rng = np.random.default_rng(93)
+        rows, sums = np.array([1, 2, 6]), rng.normal(size=(3, 3))
+        read, dense = Variable(np.ones((8, 3))), Variable(np.ones((8, 3)))
+        opts = cls([read]), cls([dense])
+        read.add_row_sums(rows, sums)
+        read.grad[5] += 0.5
+        dense.grad = np.zeros((8, 3))
+        dense.grad[rows] = sums
+        dense.grad[5] += 0.5
+        for opt in opts:
+            opt.step()
+        assert (read.value[5] < 1.0).all()
+        np.testing.assert_array_equal(read.value.view(np.uint64), dense.value.view(np.uint64))
+        for name in state:
+            np.testing.assert_array_equal(getattr(opts[0], name)[0].view(np.uint64),
+                                          getattr(opts[1], name)[0].view(np.uint64))
 
     @pytest.mark.parametrize("cls,state", [(RmsProp, ("cache",)), (Adadelta, ("acc_grad", "acc_delta"))])
     def test_compact_steps_match_dense_steps_bit_for_bit(self, cls, state):
@@ -263,6 +285,7 @@ class TestClip:
         norm = clip_gradients(list(compact), max_norm)
         assert norm == clip_gradients(list(dense), max_norm) and norm > 1.0
         np.testing.assert_array_equal(compact[0].grad_rows, rows)
+        assert compact[0].row_sums is not None
         assert dense[0].grad_rows is None
         for c, d in zip(compact, dense):
             np.testing.assert_array_equal(c.grad.view(np.uint64), d.grad.view(np.uint64))
