@@ -75,8 +75,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls([line for line in text.split("\n") if line])
+        return cls([line for line in _read_utf8(Path(path)).split("\n") if line])
 
 
 def build_vocab(train: TextDataset, max_size: int = 20000, min_freq: int = 2) -> Vocabulary:
@@ -159,6 +158,14 @@ def batches(
 # Dataset loaders
 # ---------------------------------------------------------------------------
 
+def _read_utf8(path: Path) -> str:
+    """``path``'s text; a file that is not UTF-8 is a DataError, not a traceback."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"non-UTF-8 file: {path}") from exc
+
+
 def _read_labeled_dir(split_dir: Path, split: str) -> TextDataset:
     examples: list[tuple[str, int]] = []
     for sub, label in (("pos", 1), ("neg", 0)):
@@ -168,10 +175,7 @@ def _read_labeled_dir(split_dir: Path, split: str) -> TextDataset:
         for path in sorted(d.iterdir()):
             if not path.is_file():
                 continue
-            try:
-                examples.append((path.read_text(encoding="utf-8"), label))
-            except UnicodeDecodeError as exc:
-                raise DataError(f"non-UTF-8 file: {path}") from exc
+            examples.append((_read_utf8(path), label))
     return TextDataset(examples, split)
 
 
@@ -189,7 +193,7 @@ def load_tsv(path) -> TextDataset:
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     examples: list[tuple[str, int]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
         head, tab, text = line.partition("\t")

@@ -190,6 +190,14 @@ class TestTrain:
                      "--out", str(out), *fast_flags()]) == 0
         assert json.loads((out / "report.json").read_text())["config"]["lr"] == 1
 
+    def test_data_file_that_is_not_utf8_exits_three_without_traceback(self, tmp_path):
+        data = tmp_path / "latin1.tsv"
+        data.write_bytes("1\tun film très beau\n0\tmauvais\n".encode("latin-1"))
+        run = run_cli("train", "--data", str(data), "--model", "cow", "--out", str(tmp_path / "run"), *fast_flags())
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert f"non-UTF-8 file: {data}" in run.stderr
+
     def test_review_directory_with_empty_test_split_exits_three(self, tmp_path, capsys):
         root = tmp_path / "reviews"
         for split, sub in [("train", "pos"), ("train", "neg"), ("test", "pos"), ("test", "neg")]:
@@ -233,6 +241,15 @@ class TestEval:
         sizes = [len(Vocabulary.load(v)) for v in (short, trained / "vocab.txt")]
         assert f"has {sizes[0]} entries" in captured.err
         assert f"trained with {sizes[1]}" in captured.err
+
+    def test_vocabulary_that_is_not_utf8_exits_three_without_traceback(self, trained, toy_tsv, tmp_path):
+        vocab = tmp_path / "latin1_vocab.txt"
+        vocab.write_bytes((trained / "vocab.txt").read_bytes() + "très\n".encode("latin-1"))
+        run = run_cli("eval", "--checkpoint", str(trained / "model.rchw"), "--data", str(toy_tsv), "--vocab", str(vocab))
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert f"non-UTF-8 file: {vocab}" in run.stderr
+        assert "accuracy=" not in run.stdout
 
     def test_empty_data_is_data_error(self, trained, blank_tsv, capsys):
         code = main(["eval", "--checkpoint", str(trained / "model.rchw"), "--data", str(blank_tsv)])
