@@ -38,15 +38,11 @@ def cross_entropy_loss(probs: Variable, labels: np.ndarray) -> Variable:
     return record("cross_entropy", out, bw)
 
 
-def _grad(p: Variable) -> np.ndarray:
-    """``p``'s dense gradient, built if it is compact, or zeros if it has none."""
-    return p.grad if p.grad is not None else np.zeros_like(p.value)
-
-
 def _rows(p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
     """``p``'s gradient on the rows it may be nonzero on, and those rows: a
-    compact one's row sums as they are, else ``_grad`` on all rows (``...``)."""
-    return (p.row_sums, p.grad_rows) if p.row_sums is not None else (_grad(p), ...)
+    compact one's row sums as they are, else ``ensure_grad()`` on all rows
+    (``...``)."""
+    return (p.row_sums, p.grad_rows) if p.row_sums is not None else (p.ensure_grad(), ...)
 
 
 def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
@@ -61,9 +57,12 @@ def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     grads, total = [(p, *_rows(p)) for p in params], 0.0
     for p, g, rows in grads:
-        squares = np.zeros_like(p.value)
-        squares[rows] = g * g
-        total += float(np.sum(squares))
+        if rows is ...:
+            total += float(np.sum(g * g))
+        else:
+            squares = np.zeros_like(p.value)
+            squares[rows] = g * g
+            total += float(np.sum(squares))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
@@ -125,7 +124,7 @@ class Adam(_Optimizer):
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = _grad(p)
+            g = p.ensure_grad()
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

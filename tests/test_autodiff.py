@@ -302,7 +302,7 @@ class TestCompactGradient:
         assert repr(v) == "Variable(shape=(5, 2), grad=set)"
         assert v.row_sums is not None
 
-    def test_first_read_builds_the_dense_array_once_and_clears_the_compact_form(self):
+    def test_first_read_builds_the_dense_array_and_keeps_no_rows(self):
         v = self.compact()
         np.testing.assert_array_equal(v.grad_rows, [1, 4])
         dense = v.grad

@@ -42,7 +42,7 @@ def test_clipped_case_scales_every_step_on_a_strict_subset_of_rows(monkeypatch):
 
     monkeypatch.setattr(harness, "clip_gradients", counting)
     trained("rcnn-hw/rmsprop/clipped")
-    assert len(calls) == 14
+    assert len(calls) == 14  # two epochs of 7 batches: 108 training examples, 16 a batch
     assert all(compact and norm > SIZES["clipped"]["clip_norm"] for compact, norm in calls)
 
 

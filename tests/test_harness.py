@@ -168,8 +168,9 @@ class TestTrain:
     @pytest.mark.parametrize("optimizer", ["rmsprop", "adadelta"])
     def test_row_hinted_steps_train_bit_identically_to_dense_steps(self, optimizer, monkeypatch):
         """With a vocabulary several times one batch's 384 tokens, each step's
-        embedding gradient is hinted with a strict subset of the table's rows;
-        clearing every hint before the step changes no bit of the result."""
+        embedding gradient is row-compact on a strict subset of the table's
+        rows; making every gradient dense before the step changes no bit of
+        the result."""
         ds = gen_keyword_task(240, vocab_size=2000, seq_len=12, seed=54)
         vocab = build_vocab(ds, min_freq=1)
         train_set, val_set = split_train_val(ds, 0.15)

@@ -292,6 +292,20 @@ class TestClip:
         if norm > max_norm:
             np.testing.assert_array_equal(compact[0].grad[rows], sums * (max_norm / norm))
 
+    def test_compact_norm_keeps_the_dense_sum_bits(self):
+        """The norm of a compact gradient adds its zero rows' squares, in the
+        dense array's pairwise order; the row sums' squares summed alone
+        give another last bit here."""
+        rng = np.random.default_rng(1)
+        rows = np.sort(rng.choice(40, 13, replace=False))
+        sums = rng.normal(size=(13, 3)) * 10.0 ** rng.integers(-3, 4, (13, 1))
+        compact, dense = Variable(np.zeros((40, 3))), Variable(np.zeros((40, 3)))
+        compact.add_row_sums(rows, sums)
+        dense.grad = np.zeros((40, 3))
+        dense.grad[rows] = sums
+        assert np.sqrt(np.sum(sums * sums)) != np.sqrt(np.sum(dense.grad * dense.grad))
+        assert clip_gradients([compact], 1e3) == clip_gradients([dense], 1e3)
+
     def test_invalid_cap(self):
         with pytest.raises(ConfigError):
             clip_gradients([], max_norm=0.0)
