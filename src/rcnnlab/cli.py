@@ -51,23 +51,34 @@ from .harness import (
     write_rows,
 )
 from .models import ABLATION_VARIANTS, KINDS, ModelSpec, resolve_model
+from .optim import OPTIMIZERS
 
-CONFIG_KEYS = {
-    "optimizer": str, "lr": float, "epochs": int, "batch_size": int,
-    "init_seed": int, "shuffle_seed": int, "val_fraction": float,
-    "patience": int, "clip_norm": float, "seq_len": int, "embed_dim": int,
-    "hidden_dim": int, "num_filters": int, "highway_layers": int,
-    "mlp_instead_of_highway": bool, "num_classes": int, "max_vocab": int,
-    "min_freq": int,
+# Each training option once: its config-file type and its flag's help, or None
+# for a key only a config file sets. A help whose default is None explains it.
+OPTIONS = {
+    "seq_len": (int, "input length"),
+    "epochs": (int, "training epochs"),
+    "optimizer": (str, "update rule"),
+    "lr": (float, "learning rate (default per optimizer)"),
+    "batch_size": (int, "examples per step"),
+    "val_fraction": (float, "share of the training data held out for validation"),
+    "patience": (int, "early-stop patience"),
+    "clip_norm": (float, "gradient clip; default 5.0 for recurrent models, 0 disables"),
+    "embed_dim": (int, "word embedding width"),
+    "hidden_dim": (int, "recurrent state width"),
+    "num_filters": (int, "convolution filters"),
+    "highway_layers": (int, "0, 1 or 2 (rcnn-hw); default 1 for rcnn-hw without --mlp, else 0"),
+    "mlp_instead_of_highway": (bool, "use a dense+relu block instead of highway layers, rcnn-hw only"),
+    "max_vocab": (int, "vocabulary size cap, counting the two reserved ids"),
+    "min_freq": (int, "minimum token count in the training split"),
+    "init_seed": (int, None),
+    "shuffle_seed": (int, None),
+    "num_classes": (int, None),
 }
 
-DEFAULTS = {
-    "optimizer": "rmsprop", "lr": None, "epochs": 10, "batch_size": 32,
-    "init_seed": 0, "shuffle_seed": 1, "val_fraction": 0.1, "patience": 3,
-    "clip_norm": None, "seq_len": 200, "embed_dim": 50, "hidden_dim": 32,
-    "num_filters": 256, "highway_layers": None, "mlp_instead_of_highway": False,
-    "num_classes": 2, "max_vocab": 20000, "min_freq": 2,
-}
+# ModelSpec's and TrainConfig's defaults, then the CLI's own (--seed S shuffles with S+1).
+DEFAULTS = {f.name: f.default for cls in (ModelSpec, TrainConfig) for f in fields(cls) if f.name in OPTIONS}
+DEFAULTS |= {"seq_len": 200, "shuffle_seed": 1, "max_vocab": 20000, "min_freq": 2}
 
 
 def _log(message: str) -> None:
@@ -77,14 +88,12 @@ def _log(message: str) -> None:
 def _has_config_type(key: str, value) -> bool:
     """An int passes where a float is declared; a bool is never an int, and
     null is accepted only where the default itself is null."""
-    expected = CONFIG_KEYS[key]
+    expected = OPTIONS[key][0]
     if value is None:
         return DEFAULTS[key] is None
     if isinstance(value, bool):
         return expected is bool
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
+    return isinstance(value, (int, float) if expected is float else expected)
 
 
 def _resolve_options(args) -> dict:
@@ -100,14 +109,14 @@ def _resolve_options(args) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: expected a JSON object of options")
-        unknown = set(loaded) - set(CONFIG_KEYS)
+        unknown = set(loaded) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, value in loaded.items():
             if not _has_config_type(key, value):
-                raise ConfigError(f"{path}: {key} must be {CONFIG_KEYS[key].__name__}, got {value!r}")
+                raise ConfigError(f"{path}: {key} must be {OPTIONS[key][0].__name__}, got {value!r}")
         options.update(loaded)
-    for key in CONFIG_KEYS:  # every flag's dest is its config key
+    for key in OPTIONS:  # every flag's dest is its config key
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
@@ -115,17 +124,6 @@ def _resolve_options(args) -> dict:
         options["init_seed"] = args.seed
         options["shuffle_seed"] = args.seed + 1
     return options
-
-
-def _make_config(options: dict, vocab_size: int) -> TrainConfig:
-    """The run's config with an rcnn-hw base spec; ``resolve_model`` turns it
-    into the spec of each model a command trains."""
-
-    def picked(cls) -> dict:
-        return {f.name: options[f.name] for f in fields(cls) if f.name in options}
-
-    spec = ModelSpec(kind="rcnn-hw", vocab_size=vocab_size, **picked(ModelSpec))
-    return TrainConfig(spec=spec, **picked(TrainConfig))
 
 
 def _evaluable(dataset: TextDataset, source) -> TextDataset:
@@ -142,6 +140,25 @@ def _load_data(path_str: str) -> tuple[TextDataset, TextDataset | None]:
         train_set, test_set = load_imdb_dir(path)
         return train_set, _evaluable(test_set, path / "test")
     return load_tsv(path), None
+
+
+def _prepare_run(args, hold_out_test: bool) -> tuple:
+    """(config with an rcnn-hw base spec, train, val, test, vocabulary) for
+    train, compare and sweep. Options resolve first, so a bad config exits 2
+    before a data error. With ``hold_out_test``, a missing test split is a
+    fixed fifth of the data."""
+    options = _resolve_options(args)
+    dataset, test_set = _load_data(args.data)
+    if getattr(args, "test_data", None):
+        test_set = _evaluable(load_tsv(args.test_data), args.test_data)
+    if test_set is None and hold_out_test:
+        dataset, test_set = split_train_val(dataset, 0.2, seed=29)
+    train_set, val_set = split_train_val(dataset, options["val_fraction"])
+    vocab = build_vocab(train_set, max_size=options["max_vocab"], min_freq=options["min_freq"])
+    picked = {cls: {f.name: options[f.name] for f in fields(cls) if f.name in OPTIONS}
+              for cls in (ModelSpec, TrainConfig)}
+    spec = ModelSpec(kind="rcnn-hw", vocab_size=len(vocab), **picked[ModelSpec])
+    return TrainConfig(spec=spec, **picked[TrainConfig]), train_set, val_set, test_set, vocab
 
 
 def _expand_models(text: str, base: ModelSpec) -> list[str]:
@@ -168,11 +185,7 @@ def _expand_models(text: str, base: ModelSpec) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    options = _resolve_options(args)
-    dataset, test_set = _load_data(args.data)
-    train_set, val_set = split_train_val(dataset, options["val_fraction"])
-    vocab = build_vocab(train_set, max_size=options["max_vocab"], min_freq=options["min_freq"])
-    config = _make_config(options, len(vocab))
+    config, train_set, val_set, test_set, vocab = _prepare_run(args, hold_out_test=False)
     config.spec = resolve_model(args.model, config.spec)
 
     _log(f"training {args.model}: {len(train_set)} train / {len(val_set)} val examples, "
@@ -217,17 +230,8 @@ def cmd_eval(args) -> int:
 
 def _run_grid_command(args, models: str, run, stem: str) -> int:
     """The body of compare and sweep: ``run`` is the harness driver, and the
-    rows go to ``<out>/<stem>.csv`` and ``.json``. Without a test split,
-    a fixed fifth of the data is held out for testing."""
-    options = _resolve_options(args)
-    dataset, test_set = _load_data(args.data)
-    if args.test_data:
-        test_set = _evaluable(load_tsv(args.test_data), args.test_data)
-    if test_set is None:
-        dataset, test_set = split_train_val(dataset, 0.2, seed=29)
-    train_set, val_set = split_train_val(dataset, options["val_fraction"])
-    vocab = build_vocab(train_set, max_size=options["max_vocab"], min_freq=options["min_freq"])
-    config = _make_config(options, len(vocab))
+    rows go to ``<out>/<stem>.csv`` and ``.json``."""
+    config, train_set, val_set, test_set, vocab = _prepare_run(args, hold_out_test=True)
     names = _expand_models(models, config.spec)
     _log(f"{stem} of {names} on {len(train_set)} train / {len(test_set)} test examples")
     rows = run(config, names, train_set, val_set, test_set, vocab)
@@ -260,33 +264,26 @@ def cmd_gradcheck(args) -> int:
         results = checks.run_layer_checks(base_seed=args.seed, inject_bug=args.inject_bug)
     else:
         results = checks.run_model_checks(base_seed=args.seed)
-    failed = False
     for r in results:
-        ok = r.passed()
-        failed = failed or not ok
-        print(f"{r.name:28s} max_rel_error={r.max_rel_error:.3e} {'PASS' if ok else 'FAIL'}")
-    if failed:
+        print(f"{r.name:28s} max_rel_error={r.max_rel_error:.3e} {'PASS' if r.passed() else 'FAIL'}")
+    if not all(r.passed() for r in results):
         raise GradCheckError("one or more gradient checks exceeded tolerance 1e-4")
     return 0
 
 
 def cmd_gen(args) -> int:
     seq_len = (500 if args.task == "longrange" else 50) if args.seq_len is None else args.seq_len
-    if args.task == "keyword":
-        ds = gen_keyword_task(args.n, vocab_size=args.vocab_size, seq_len=seq_len, seed=args.seed)
-    elif args.task == "order":
-        ds = gen_order_task(args.n, vocab_size=args.vocab_size, seq_len=seq_len, seed=args.seed)
-    else:
+    if args.task == "longrange":
         try:
             lo, hi = (int(v) for v in args.window.split(","))
         except ValueError as exc:
             raise ConfigError(f"--window must be 'lo,hi' integers: {args.window!r}") from exc
-        ds = gen_longrange_task(
-            args.n, (lo, hi), seq_len=seq_len, seed=args.seed, vocab_size=args.vocab_size
-        )
+        ds = gen_longrange_task(args.n, (lo, hi), seq_len=seq_len, seed=args.seed, vocab_size=args.vocab_size)
+    else:
+        gen = gen_keyword_task if args.task == "keyword" else gen_order_task
+        ds = gen(args.n, vocab_size=args.vocab_size, seq_len=seq_len, seed=args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_tsv(ds, out)
     positives = sum(label for _t, label in ds.examples)
     _log(f"wrote {len(ds)} examples ({positives} positive) to {out}")
@@ -298,26 +295,20 @@ def cmd_gen(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_train_flags(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--data", required=True, help="TSV file or review directory")
+    p.add_argument("--out", default=f"runs/{command}", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seq-len", dest="seq_len", type=int, help="input length (default 200)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--seed", type=int, help="seed for init and shuffling")
-    p.add_argument("--optimizer", choices=["rmsprop", "adam", "adadelta"], help="default rmsprop")
-    p.add_argument("--lr", type=float, help="learning rate (default per optimizer)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default 32")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, help="default 0.1")
-    p.add_argument("--patience", type=int, help="early-stop patience (default 3)")
-    p.add_argument("--clip-norm", dest="clip_norm", type=float,
-                   help="gradient clip; default 5.0 for recurrent models, 0 disables")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, help="default 50")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, help="default 32")
-    p.add_argument("--num-filters", dest="num_filters", type=int, help="default 256")
-    p.add_argument("--highway-layers", dest="highway_layers", type=int, help="0, 1 or 2 (rcnn-hw)")
-    p.add_argument("--mlp", dest="mlp_instead_of_highway", action="store_const", const=True, default=None,
-                   help="use a dense+relu block instead of highway layers (rcnn-hw)")
-    p.add_argument("--max-vocab", dest="max_vocab", type=int, help="default 20000")
-    p.add_argument("--min-freq", dest="min_freq", type=int, help="default 2")
+    p.add_argument("--seed", type=int, help=f"init seed S, shuffle seed S+1 (default {DEFAULTS['init_seed']})")
+    for key, (kind, text) in OPTIONS.items():
+        if text is None:
+            continue
+        help_ = text if DEFAULTS[key] is None else f"{text} (default {DEFAULTS[key]})"
+        if kind is bool:
+            p.add_argument("--mlp", dest=key, action="store_const", const=True, help=help_)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_,
+                           choices=OPTIMIZERS if key == "optimizer" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train one model and write checkpoint + report")
-    p.add_argument("--data", required=True, help="TSV file or review directory")
     p.add_argument("--model", required=True, help=f"one of: {', '.join(KINDS)} or an ablation variant")
-    p.add_argument("--out", default="runs/train", help="output directory")
-    _add_common_train_flags(p)
+    _add_common_train_flags(p, "train")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints accuracy=<value>")
@@ -342,21 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("compare", help="train several architectures and tabulate accuracy")
-    p.add_argument("--data", required=True)
     p.add_argument("--test-data", dest="test_data", help="optional held-out TSV")
     p.add_argument("--models", required=True,
                    help="comma list; rcnn-hw-ablation expands to the four highway variants")
-    p.add_argument("--out", default="runs/compare")
-    _add_common_train_flags(p)
+    _add_common_train_flags(p, "compare")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sweep", help="retrain over a range of input sequence lengths")
-    p.add_argument("--data", required=True)
     p.add_argument("--test-data", dest="test_data", help="optional held-out TSV")
     p.add_argument("--model", required=True, help="model name or comma list")
     p.add_argument("--lengths", default=",".join(map(str, SWEEP_LENGTHS)))
-    p.add_argument("--out", default="runs/sweep")
-    _add_common_train_flags(p)
+    _add_common_train_flags(p, "sweep")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")

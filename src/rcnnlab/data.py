@@ -63,9 +63,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
 
@@ -159,9 +156,10 @@ def batches(
 # ---------------------------------------------------------------------------
 
 def _read_utf8(path: Path) -> str:
-    """``path``'s text; a file that is not UTF-8 is a DataError, not a traceback."""
+    """``path``'s text without a leading byte-order mark; a file that is not
+    UTF-8 is a DataError, not a traceback."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"non-UTF-8 file: {path}") from exc
 

@@ -2,16 +2,32 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rcnnlab.cli import main
+from rcnnlab.cli import OPTIONS, main
 from rcnnlab.data import Vocabulary
+from rcnnlab.harness import TrainConfig
+from rcnnlab.models import ModelSpec
+
+# The defaults a run resolves to: ModelSpec's and TrainConfig's own, but for the
+# CLI's seq_len 200, shuffle_seed 1 (--seed S shuffles with S+1, and S defaults
+# to 0) and vocabulary caps.
+RESOLVED_DEFAULTS = {
+    **{f.name: f.default for cls in (ModelSpec, TrainConfig) for f in fields(cls) if f.default is not MISSING},
+    "seq_len": 200, "shuffle_seed": 1, "max_vocab": 20000, "min_freq": 2,
+}
+
+# A config-file value of the wrong type for each option type: the JSON string
+# or list a user might write in place of the number, name or switch.
+WRONG_TYPED = {int: "3", float: "0.5", str: ["rmsprop"], bool: "true"}
 
 
 @pytest.fixture()
@@ -129,6 +145,10 @@ class TestTrain:
         assert config["batch_size"] == 32
         assert config["spec"]["hidden_dim"] == 32
         assert config["spec"]["num_filters"] == 256
+        # Every echoed option is its ModelSpec or TrainConfig default, but for the
+        # CLI's own seq_len 200 and shuffle_seed 1, and the --epochs flag.
+        spec = ModelSpec(kind="cow", vocab_size=config["spec"]["vocab_size"], seq_len=200)
+        assert config == json.loads(json.dumps(TrainConfig(spec, epochs=1, shuffle_seed=1).to_dict()))
 
     def test_config_file_merging_and_flag_override(self, toy_tsv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -156,7 +176,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [{"epochs": "ten"}, {"epochs": 2.5}, {"epochs": True},
                                      {"lr": "fast"}, {"optimizer": 3}, {"mlp_instead_of_highway": 1},
-                                     {"seq_len": None}])
+                                     {"seq_len": None},
+                                     *({key: WRONG_TYPED[kind]} for key, (kind, _help) in OPTIONS.items()),
+                                     *({key: None} for key in OPTIONS if RESOLVED_DEFAULTS[key] is not None)])
     def test_config_value_of_wrong_type_exits_two_without_traceback(self, toy_tsv, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
@@ -165,6 +187,18 @@ class TestTrain:
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert next(iter(bad)) in run.stderr
+
+    @pytest.mark.parametrize("command", [["train", "--model", "cow"], ["compare", "--models", "cow"],
+                                         ["sweep", "--model", "cow", "--lengths", "5"]],
+                             ids=["train", "compare", "sweep"])
+    def test_bad_config_exits_two_before_a_missing_data_file(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": "ten"}))
+        run = run_cli(*command, "--data", str(tmp_path / "missing.tsv"), "--config", str(cfg),
+                      "--out", str(tmp_path / "run"))
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert "config error" in run.stderr and "data error" not in run.stderr
 
     def test_vocabulary_cap_below_reserved_ids_exits_two(self, toy_tsv, tmp_path):
         run = run_cli("train", "--data", str(toy_tsv), "--model", "cow", "--max-vocab", "0",
@@ -440,3 +474,20 @@ class TestHelp:
         assert main([cmd, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+    @pytest.mark.parametrize("cmd", ["train", "compare", "sweep"])
+    def test_training_flag_help_states_the_default_a_run_resolves_to(self, cmd, capsys):
+        assert main([cmd, "--help"]) == 0
+        # one entry per option, from its flag to the next flag, whitespace folded
+        entries = {e.split()[0]: " ".join(e.split()) for e in re.split(r"\n  (?=-)", capsys.readouterr().out)}
+        flags = {"--seq-len": "seq_len", "--epochs": "epochs", "--optimizer": "optimizer", "--lr": "lr",
+                 "--batch-size": "batch_size", "--val-fraction": "val_fraction", "--patience": "patience",
+                 "--clip-norm": "clip_norm", "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim",
+                 "--num-filters": "num_filters", "--highway-layers": "highway_layers",
+                 "--mlp": "mlp_instead_of_highway", "--max-vocab": "max_vocab", "--min-freq": "min_freq"}
+        for flag, key in flags.items():
+            default = RESOLVED_DEFAULTS[key]
+            # a None default resolves per model or optimizer, which the help says in words
+            assert ("default" in entries[flag]) if default is None else (f"(default {default})" in entries[flag])
+        assert "{rmsprop,adam,adadelta}" in entries["--optimizer"]
+        assert f"(default {RESOLVED_DEFAULTS['init_seed']})" in entries["--seed"]

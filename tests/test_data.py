@@ -101,6 +101,14 @@ class TestVocabulary:
         for k, token in enumerate(lines, start=1):
             assert vocab.token_to_id[token] == k + 1
 
+    def test_file_with_byte_order_mark_loads_the_same_ids(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("good\nbad\n", encoding="utf-8")
+        (tmp_path / "bom.txt").write_text("good\nbad\n", encoding="utf-8-sig")
+        plain, bom = D.Vocabulary.load(tmp_path / "plain.txt"), D.Vocabulary.load(tmp_path / "bom.txt")
+        assert bom == plain
+        assert bom.id_to_token == ["<pad>", "<unk>", "good", "bad"]
+        assert list(D.encode("good bad", bom, 2)[0]) == [2, 3]
+
 
 class TestEncode:
     @pytest.fixture
@@ -115,7 +123,7 @@ class TestEncode:
     def test_head_truncation(self, vocab):
         ids, length = D.encode("aa bb cc dd ee ff gg", vocab, 5)
         assert length == 5
-        expected = [vocab.id_of(t) for t in ["aa", "bb", "cc", "dd", "ee"]]
+        expected = [vocab.token_to_id[t] for t in ["aa", "bb", "cc", "dd", "ee"]]
         assert list(ids) == expected
 
     def test_unknown_token(self, vocab):
@@ -181,6 +189,20 @@ class TestLoaders:
         ds = D.load_tsv(path)
         assert len(ds) == 0
 
+    def test_tsv_with_byte_order_mark_loads_the_same_examples(self, tmp_path):
+        (tmp_path / "plain.tsv").write_text("1\tgood film\n0\tbad\n", encoding="utf-8")
+        (tmp_path / "bom.tsv").write_text("1\tgood film\n0\tbad\n", encoding="utf-8-sig")
+        assert D.load_tsv(tmp_path / "bom.tsv").examples == D.load_tsv(tmp_path / "plain.tsv").examples
+        assert D.load_tsv(tmp_path / "bom.tsv").examples == [("good film", 1), ("bad", 0)]
+
+    def test_review_file_with_byte_order_mark_loads_the_same_examples(self, tmp_path):
+        plain = self.make_imdb(tmp_path / "plain")
+        bom = self.make_imdb(tmp_path / "bom")
+        (bom / "train/pos/0_a.txt").write_text("great film", encoding="utf-8-sig")
+        assert D.load_imdb_dir(bom) == D.load_imdb_dir(plain)
+        vocab = D.build_vocab(D.load_imdb_dir(bom)[0], min_freq=1)
+        assert "\ufeffgreat" not in vocab.token_to_id and "great" in vocab.token_to_id
+
     def test_write_then_load(self, tmp_path):
         ds = D.gen_keyword_task(20, seed=3)
         path = tmp_path / "gen.tsv"
@@ -233,7 +255,7 @@ class TestGenerators:
     def test_longrange_truncation_drops_signal(self):
         ds = D.gen_longrange_task(100, (200, 400), seq_len=500, seed=6)
         vocab = D.build_vocab(ds, min_freq=1)
-        sig = vocab.id_of(D.LONGRANGE_SENTINEL)
+        sig = vocab.token_to_id[D.LONGRANGE_SENTINEL]
         assert sig != D.UNK_ID
         short = D.encode_dataset(ds, vocab, 100)
         assert not (short.ids == sig).any()
