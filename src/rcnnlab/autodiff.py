@@ -10,8 +10,9 @@ Variable used twice receives the sum of both branch gradients.
 The engine defines no ops. Every differentiable op is a kernel in
 ``layers`` that computes its output with numpy and records one node whose
 backward rule is written by hand (``record``). There is no implicit
-broadcasting: each kernel checks its operands' shapes and broadcasts a bias
-only over the leading axes that its backward sums.
+broadcasting: each kernel checks its operands' shapes, a parameter container
+through its ``checked``, before it records, and broadcasts a bias only over
+the leading axes that its backward sums.
 
 A gradient is none, dense (``grad``), or row-compact: ``grad_rows``, the
 sorted rows of the first axis outside which it is exactly +0.0, and

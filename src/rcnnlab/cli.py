@@ -50,8 +50,8 @@ from .harness import (
     train,
     write_rows,
 )
-from .models import ABLATION_VARIANTS, KINDS, ModelSpec, resolve_model
-from .optim import OPTIMIZERS
+from .models import ABLATION_VARIANTS, KINDS, ModelSpec, check_model_name, resolve_model
+from .optim import OPTIMIZERS, check_optimizer
 
 # Each training option once: its config-file type and its flag's help, or None
 # for a key only a config file sets. A help whose default is None explains it.
@@ -97,14 +97,14 @@ def _has_config_type(key: str, value) -> bool:
 
 
 def _resolve_options(args) -> dict:
-    """defaults < JSON config file < explicit flags."""
+    """defaults < JSON config file < explicit flags; a command calls it before it loads data."""
     options = dict(DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             raise DataError(f"missing config file: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            loaded = json.loads(path.read_text(encoding="utf-8-sig"))
         except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
@@ -115,6 +115,7 @@ def _resolve_options(args) -> dict:
         for key, value in loaded.items():
             if not _has_config_type(key, value):
                 raise ConfigError(f"{path}: {key} must be {OPTIONS[key][0].__name__}, got {value!r}")
+        check_optimizer(loaded.get("optimizer", DEFAULTS["optimizer"]))
         options.update(loaded)
     for key in OPTIONS:  # every flag's dest is its config key
         value = getattr(args, key, None)
@@ -142,12 +143,10 @@ def _load_data(path_str: str) -> tuple[TextDataset, TextDataset | None]:
     return load_tsv(path), None
 
 
-def _prepare_run(args, hold_out_test: bool) -> tuple:
+def _prepare_run(args, options: dict, hold_out_test: bool) -> tuple:
     """(config with an rcnn-hw base spec, train, val, test, vocabulary) for
-    train, compare and sweep. Options resolve first, so a bad config exits 2
-    before a data error. With ``hold_out_test``, a missing test split is a
-    fixed fifth of the data."""
-    options = _resolve_options(args)
+    train, compare and sweep, from the resolved ``options``. With
+    ``hold_out_test``, a missing test split is a fixed fifth of the data."""
     dataset, test_set = _load_data(args.data)
     if getattr(args, "test_data", None):
         test_set = _evaluable(load_tsv(args.test_data), args.test_data)
@@ -161,10 +160,10 @@ def _prepare_run(args, hold_out_test: bool) -> tuple:
     return TrainConfig(spec=spec, **picked[TrainConfig]), train_set, val_set, test_set, vocab
 
 
-def _expand_models(text: str, base: ModelSpec) -> list[str]:
+def _expand_models(text: str) -> list[str]:
     """Comma list of model names; rcnn-hw-ablation expands to the four highway
-    variants. Each name is resolved once here, so an unknown one is rejected
-    before any model trains."""
+    variants. Each name is checked here, so an unknown one is rejected before
+    any data loads."""
     names = []
     for raw in text.split(","):
         name = raw.strip()
@@ -173,7 +172,7 @@ def _expand_models(text: str, base: ModelSpec) -> list[str]:
         if name == "rcnn-hw-ablation":
             names.extend(ABLATION_VARIANTS)
         else:
-            resolve_model(name, base)
+            check_model_name(name)
             names.append(name)
     if not names:
         raise ConfigError("model list is empty")
@@ -185,8 +184,13 @@ def _expand_models(text: str, base: ModelSpec) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    config, train_set, val_set, test_set, vocab = _prepare_run(args, hold_out_test=False)
+    options = _resolve_options(args)
+    check_model_name(args.model)
+    config, train_set, val_set, test_set, vocab = _prepare_run(args, options, hold_out_test=False)
     config.spec = resolve_model(args.model, config.spec)
+    for key in ("highway_layers", "mlp_instead_of_highway"):  # compare and sweep apply them to rcnn-hw entries only
+        if options[key] != DEFAULTS[key] and getattr(config.spec, key) != options[key]:
+            raise ConfigError(f"{args.model} takes {key}={getattr(config.spec, key)!r}, not {options[key]!r}")
 
     _log(f"training {args.model}: {len(train_set)} train / {len(val_set)} val examples, "
          f"vocab {len(vocab)}, seq_len {config.spec.seq_len}")
@@ -231,8 +235,8 @@ def cmd_eval(args) -> int:
 def _run_grid_command(args, models: str, run, stem: str) -> int:
     """The body of compare and sweep: ``run`` is the harness driver, and the
     rows go to ``<out>/<stem>.csv`` and ``.json``."""
-    config, train_set, val_set, test_set, vocab = _prepare_run(args, hold_out_test=True)
-    names = _expand_models(models, config.spec)
+    options, names = _resolve_options(args), _expand_models(models)
+    config, train_set, val_set, test_set, vocab = _prepare_run(args, options, hold_out_test=True)
     _log(f"{stem} of {names} on {len(train_set)} train / {len(test_set)} test examples")
     rows = run(config, names, train_set, val_set, test_set, vocab)
     out = Path(args.out)

@@ -54,6 +54,16 @@ class _Params:
     def named(self) -> list[tuple[str, Variable]]:
         return [(f.name, v) for f in fields(self) if isinstance(v := getattr(self, f.name), Variable)]
 
+    def checked(self, *dims) -> list[Variable]:
+        """The Variable fields in order, once each has its ``shapes(*dims)`` shape exactly. A kernel
+        calls this first and credits what it returns, even if a field is swapped before backward."""
+        named = self.named()
+        for (name, v), shape in zip(named, self.shapes(*dims), strict=True):
+            if v.shape != shape:
+                kind = "bias" if len(shape) == 1 else "matrix"
+                raise ShapeError(f"{type(self).__name__}.{name} must be a {kind} of shape {shape}, got {v.shape}")
+        return [v for _name, v in named]
+
 
 @dataclass
 class EmbeddingParams(_Params):
@@ -181,7 +191,8 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
     lengths[b] positions, [B, D], as one node: an embedding bag (Joulin et al., arXiv 1607.01759)
     whose [B, U] counts of the U rows used give the output, counts @ table[rows], and the
     gradient, counts.T @ g. Neither depends on token order, so neither do the sums, bit for bit."""
-    table, ids = params.table, batch.ids
+    (table,) = params.checked(params.table.shape[0], params.table.shape[-1])
+    ids = batch.ids
     if not pool:
         return embedding_lookup(table, ids)
     _check_ids(ids, table.shape[0])
@@ -226,15 +237,11 @@ class _Recurrence:
     stack gate-major and block-diagonal over the directions: W [k·d, G·n], Uᵀ
     [G·n, n], b tiled [G·n, B]. Steps are feature-major, [·, B]: a gate is rows."""
 
-    def __init__(self, name: str, cls, x: Variable, states: tuple[Variable, ...], dirs):
-        # Captured now: backward credits the Variables this forward read, even if
-        # one of p's fields is swapped for another Variable before backward runs.
-        self.params = [[v for _name, v in p.named()] for p, _reverse, _band in dirs]
-        self.x, self.states, self.dirs, gates = x, states, dirs, len(cls.shapes(0, 0)) // 3
-        (batch, steps, width), k, hidden = _steps(x.value).shape, len(dirs), self.params[0][gates].shape[0]
-        n = k * hidden
-        if any([v.shape for v in vs] != cls.shapes(width, hidden) for vs in self.params):
-            raise ShapeError(f"{name} parameters for input width {width} must have shapes {cls.shapes(width, hidden)}")
+    def __init__(self, name: str, x: Variable, states: tuple[Variable, ...], dirs):
+        (batch, steps, width), k = _steps(x.value).shape, len(dirs)
+        hidden = dirs[0][0].named()[0][1].shape[-1]  # the first direction's W [d, h]; every direction is checked against it
+        self.params = [p.checked(width, hidden) for p, _reverse, _band in dirs]
+        self.x, self.states, self.dirs, gates, n = x, states, dirs, len(self.params[0]) // 3, k * hidden
         for s in states:
             if s.shape != (batch, n):
                 raise ShapeError(f"{name} state must be [{batch}, {n}], got {s.shape}")
@@ -312,7 +319,7 @@ def _gru_kernel(x: Variable, h0: Variable, dirs, out: np.ndarray) -> Callable[[n
 
     The gates are [r | z | cand], with the biases folded into the projection.
     """
-    r = _Recurrence("gru", GruParams, x, (h0,), dirs)
+    r = _Recurrence("gru", x, (h0,), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
     (hs,) = r.tracks
     rz, rh, cand = _kept(steps, 2 * n, batch), _kept(steps, n, batch), _kept(steps, n, batch)
@@ -368,7 +375,7 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
 
     The gates are [i | f | o | cand], with the biases folded into the projection.
     """
-    r = _Recurrence("lstm", LstmParams, x, (h0, c0), dirs)
+    r = _Recurrence("lstm", x, (h0, c0), dirs)
     n, u_t, steps, batch = r.n, r.u_t, r.steps, r.batch
     hs, cs = r.tracks
     gates, tc = _kept(steps, 4 * n, batch), _kept(steps, n, batch)
@@ -472,9 +479,9 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
     (batch, steps, embed), hidden = x.shape, p_fwd.u_r.shape[0]
     mid = slice(hidden, hidden + embed)
     out = np.empty((batch, steps, 2 * hidden + embed))
-    out[:, :, mid] = x.value
     dirs = [(p_fwd, False, slice(hidden + embed, None)), (p_bwd, True, slice(None, hidden))]
     bw = _gru_kernel(x, Variable(np.zeros((batch, 2 * hidden))), dirs, out)
+    out[:, :, mid] = x.value
 
     def backward(g: np.ndarray) -> None:
         bw(g)
@@ -533,11 +540,7 @@ def highway_forward(x_tilde: Variable, p: HighwayParams) -> Variable:
     14.2/12.2, 15.9/16.3, 14.2/20.0 on 16,000 x 32 rows (2-core Xeon, 1 thread).
     """
     d = x_tilde.shape[-1]
-    for name, w in (("transform", p.w_h), ("gate", p.w_t)):
-        if w.shape != (d, d):
-            raise ShapeError(f"highway {name} weights must be [{d},{d}], got {w.shape}")
-    # Captured now, as in the scan kernels: backward credits these Variables.
-    w_h, b_h, w_t, b_t = (v for _name, v in p.named())
+    w_h, b_h, w_t, b_t = p.checked(d)
     x = x_tilde.value.reshape(-1, d)
     # The backward reads the gate and transform whole; untaped, each block gets scratch (None).
     gate, transformed, y = (np.empty_like(x) if keep else None for keep in (taping(), taping(), True))
@@ -568,13 +571,10 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     tape node whose backward is written by hand. Like ``highway_forward``'s,
     the backward works on the live rows alone, and is the dense one, bit for
     bit, when half the rows or more are live."""
-    d, width = p.w.shape[0], p.w.shape[1]
-    if x.shape[-1] != d:
-        raise ShapeError(f"dense block expects input width {d}, got {x.shape[-1]}")
-    if p.b.shape != (width,):
-        raise ShapeError(f"dense block bias must be [{width}], got {p.b.shape}")
-    # Captured now, as in the scan kernels: backward credits these Variables.
-    w, b = p.w, p.b
+    d, width = x.shape[-1], p.w.shape[-1]
+    if p.w.shape[0] != d:
+        raise ShapeError(f"dense block: DenseParams.w {p.w.shape} expects input width {p.w.shape[0]}, got {d}")
+    w, b = p.checked(d, width)
     rows = x.value.reshape(-1, d)
     y = np.empty((len(rows), width))
     for xb, yb in _row_blocks(d * width, rows, y):
@@ -627,12 +627,7 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
     h = p.window
     if steps < h:
         raise ContractError(f"sequence length {steps} shorter than conv window {h}")
-    if p.filters.shape[1] != h * width:
-        raise ShapeError(f"filters expect flattened window of {p.filters.shape[1]}, input gives {h}*{width}")
-    if p.bias.shape != (p.filters.shape[0],):
-        raise ShapeError(f"conv bias must be [{p.filters.shape[0]}], got {p.bias.shape}")
-    # Captured now, as in the scan kernels: backward credits these Variables.
-    filters, bias = p.filters, p.bias
+    filters, bias = p.checked(h, width, p.filters.shape[0])
     length, num_filters = steps - h + 1, filters.shape[0]
     # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
     cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)

@@ -111,17 +111,21 @@ def resolve_model(name: str, base: ModelSpec) -> ModelSpec:
     gets the default single highway layer otherwise); other kinds get none;
     ablation names set their own.
     """
+    check_model_name(name)
     d = base.to_dict()
     if name in ABLATION_VARIANTS:
         d.update(kind="rcnn-hw", **ABLATION_VARIANTS[name])
-    elif name in KINDS:
+    else:
         if name != "rcnn-hw" or base.kind != "rcnn-hw":
             d.update(highway_layers=None, mlp_instead_of_highway=False)  # the kind's default
         d["kind"] = name
-    else:
-        valid = ", ".join(list(KINDS) + list(ABLATION_VARIANTS))
-        raise ConfigError(f"unknown model {name!r}; valid: {valid}")
     return ModelSpec.from_dict(d)
+
+
+def check_model_name(name: str) -> None:
+    """Raise ConfigError unless ``name`` is a kind or an ablation variant."""
+    if name not in KINDS and name not in ABLATION_VARIANTS:
+        raise ConfigError(f"unknown model {name!r}; valid: {', '.join([*KINDS, *ABLATION_VARIANTS])}")
 
 
 class Model:

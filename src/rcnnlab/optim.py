@@ -163,8 +163,13 @@ class Adadelta(_Optimizer):
 OPTIMIZERS = {"rmsprop": RmsProp, "adam": Adam, "adadelta": Adadelta}
 
 
-def make_optimizer(name: str, params: list[Variable], lr: float | None = None) -> _Optimizer:
-    """The named optimizer; ``lr=None`` keeps its constructor's default rate."""
+def check_optimizer(name: str) -> None:
+    """Raise ConfigError unless ``name`` is a key of ``OPTIMIZERS``."""
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
+
+
+def make_optimizer(name: str, params: list[Variable], lr: float | None = None) -> _Optimizer:
+    """The named optimizer; ``lr=None`` keeps its constructor's default rate."""
+    check_optimizer(name)
     return OPTIMIZERS[name](params) if lr is None else OPTIMIZERS[name](params, lr=lr)

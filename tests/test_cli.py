@@ -188,17 +188,62 @@ class TestTrain:
         assert "Traceback" not in run.stderr
         assert next(iter(bad)) in run.stderr
 
-    @pytest.mark.parametrize("command", [["train", "--model", "cow"], ["compare", "--models", "cow"],
-                                         ["sweep", "--model", "cow", "--lengths", "5"]],
-                             ids=["train", "compare", "sweep"])
-    def test_bad_config_exits_two_before_a_missing_data_file(self, tmp_path, command):
+    @pytest.mark.parametrize("command,config", [
+        (["train", "--model", "cow"], {"epochs": "ten"}),
+        (["compare", "--models", "cow"], {"epochs": "ten"}),
+        (["sweep", "--model", "cow", "--lengths", "5"], {"epochs": "ten"}),
+        (["train", "--model", "cow"], {"optimizer": "sgd"}),
+        (["compare", "--models", "cow,cnn"], {"optimizer": "sgd"}),
+        (["sweep", "--model", "cow", "--lengths", "5"], {"optimizer": "sgd"}),
+        (["train", "--model", "nosuch"], {}),
+        (["compare", "--models", "cow,nosuch"], {}),
+        (["sweep", "--model", "nosuch", "--lengths", "5"], {}),
+    ], ids=["train", "compare", "sweep", "train-optimizer", "compare-optimizer", "sweep-optimizer",
+            "train-model", "compare-model", "sweep-model"])
+    def test_bad_config_exits_two_before_a_missing_data_file(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": "ten"}))
+        cfg.write_text(json.dumps(config))
         run = run_cli(*command, "--data", str(tmp_path / "missing.tsv"), "--config", str(cfg),
                       "--out", str(tmp_path / "run"))
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
         assert "config error" in run.stderr and "data error" not in run.stderr
+
+    @pytest.mark.parametrize("model,flags,config", [
+        ("cnn", ["--highway-layers", "2"], {}),
+        ("rcnn-hw-0", ["--highway-layers", "2"], {}),
+        ("rcnn", ["--mlp"], {}),
+        ("rcnn-hw-1", [], {"mlp_instead_of_highway": True}),
+        ("cow", [], {"highway_layers": 1}),
+    ], ids=["cnn-flag", "ablation-flag", "rcnn-mlp-flag", "ablation-mlp-key", "cow-key"])
+    def test_highway_option_the_model_cannot_take_exits_two(self, toy_tsv, tmp_path, model, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        run = run_cli("train", "--data", str(toy_tsv), "--model", model, *flags, "--config", str(cfg),
+                      "--out", str(out), *fast_flags())
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr and "config error" in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,flags", [("cnn", ["--highway-layers", "0"]), ("rcnn-hw-2", ["--highway-layers", "2"]),
+                                             ("rcnn-hw-mlp", ["--mlp"]), ("rcnn-hw", ["--mlp"])])
+    def test_highway_option_the_model_resolves_to_is_accepted(self, toy_tsv, tmp_path, model, flags):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(toy_tsv), "--model", model, *flags, "--out", str(out), *fast_flags()]) == 0
+        spec = json.loads((out / "report.json").read_text())["config"]["spec"]
+        assert spec["mlp_instead_of_highway"] is ("--mlp" in flags)
+
+    def test_config_with_byte_order_mark_resolves_the_same(self, toy_tsv, tmp_path):
+        text = json.dumps({"epochs": 1, "hidden_dim": 3, "embed_dim": 5, "num_filters": 4, "seq_len": 10, "min_freq": 1})
+        echoed = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_bytes(data)
+            assert main(["train", "--data", str(toy_tsv), "--model", "cow", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            echoed.append(json.loads((tmp_path / name / "report.json").read_text())["config"])
+        assert echoed[1] == echoed[0]
 
     def test_vocabulary_cap_below_reserved_ids_exits_two(self, toy_tsv, tmp_path):
         run = run_cli("train", "--data", str(toy_tsv), "--model", "cow", "--max-vocab", "0",
@@ -349,6 +394,16 @@ class TestCompare:
         assert code == 0
         rows = json.loads((out / "comparison.json").read_text())
         assert rows[0]["trainable_params"] == rows[1]["trainable_params"]
+
+    def test_config_optimizer_outside_the_table_exits_two_without_rows(self, toy_tsv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": "sgd"}))
+        out = tmp_path / "cmp"
+        run = run_cli("compare", "--data", str(toy_tsv), "--models", "cow,cnn", "--config", str(cfg),
+                      "--out", str(out), *fast_flags())
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert "unknown optimizer 'sgd'" in run.stderr
+        assert not (out / "comparison.csv").exists()
 
     def test_empty_model_list(self, toy_tsv, tmp_path):
         assert main(["compare", "--data", str(toy_tsv), "--models", ",",

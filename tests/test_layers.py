@@ -2,7 +2,9 @@
 masked reductions, and the finite-difference suite."""
 
 import math
+import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1053,6 +1055,62 @@ class TestDenseRelu:
         p = L.DenseParams(Variable(np.zeros((4, 3))), Variable(np.zeros(4)))
         with pytest.raises(ShapeError, match="bias"):
             L.dense_relu_positions(Variable(np.zeros((2, 5, 4))), p)
+
+
+# Every kernel that takes a parameter container: the containers' classes and ``create``
+# dimensions at input width 3 (hidden 2, 4 filters, window 2), and a call on [2, 3, 3] inputs.
+X3 = np.linspace(-1.0, 1.0, 18).reshape(2, 3, 3)
+CONTAINER_KERNELS = {
+    "embed": ([(L.EmbeddingParams, (5, 3))], lambda p: L.embed(make_batch([[1, 2, 3], [4, 0, 1]]), p)),
+    "embed_pooled": ([(L.EmbeddingParams, (5, 3))], lambda p: L.embed(make_batch([[1, 2, 3], [4, 0, 1]]), p, pool=True)),
+    "gru_scan": ([(L.GruParams, (3, 2))], lambda p: L.gru_scan(Variable(X3), p, "backward")),
+    "lstm_scan": ([(L.LstmParams, (3, 2))], lambda p: L.lstm_scan(Variable(X3), p)),
+    "gru_cell_step": ([(L.GruParams, (3, 2))], lambda p: L.gru_cell_step(Variable(X3[:, 0]), Variable(np.zeros((2, 2))), p)),
+    "lstm_cell_step": ([(L.LstmParams, (3, 2))],
+                       lambda p: L.lstm_cell_step(Variable(X3[:, 0]), (Variable(np.zeros((2, 2))),) * 2, p)),
+    "birnn_context": ([(L.GruParams, (3, 2))] * 2, lambda p_fwd, p_bwd: L.birnn_context(Variable(X3), p_fwd, p_bwd)),
+    "highway_forward": ([(L.HighwayParams, (3,))], lambda p: L.highway_forward(Variable(X3), p)),
+    "dense_relu_positions": ([(L.DenseParams, (3, 4))], lambda p: L.dense_relu_positions(Variable(X3), p)),
+    "conv1d_forward": ([(L.ConvParams, (2, 3, 4))], lambda p: L.conv1d_forward(Variable(X3), p)),
+    "conv1d_forward_pooled": ([(L.ConvParams, (2, 3, 4))], lambda p: L.conv1d_forward(Variable(X3), p, pool=True)),
+}
+
+
+def misshapen_fields():
+    """(kernel, container index, field, shape) for each Variable field of each
+    container a kernel takes, and four shapes the field must not have: two that
+    numpy would broadcast against it, [1] and a leading 1, one with every axis
+    a size too long, and one with a trailing axis added."""
+    for kernel, (plan, _call) in CONTAINER_KERNELS.items():
+        for i, (cls, dims) in enumerate(plan):
+            for f, shape in zip(fields(cls), cls.shapes(*dims)):
+                bad = {"1": (1,), "leading_1": (1, *shape), "longer": tuple(s + 1 for s in shape), "extra_axis": (*shape, 1)}
+                if cls is L.EmbeddingParams:
+                    del bad["longer"]  # embed reads the vocabulary and the width off the table: any [V, D] is one
+                for label, bad_shape in bad.items():
+                    yield pytest.param(kernel, i, f.name, bad_shape, id=f"{kernel}-{i}-{f.name}-{label}")
+
+
+class TestContainerShapes:
+    def test_kernels_run_on_the_declared_shapes(self):
+        for plan, call in CONTAINER_KERNELS.values():
+            rng = np.random.default_rng(90)
+            call(*(cls.create(rng, *dims) for cls, dims in plan))
+
+    @pytest.mark.parametrize("kernel,index,field,bad_shape", list(misshapen_fields()))
+    def test_misshapen_field_raises_naming_it_before_any_node(self, kernel, index, field, bad_shape):
+        """Each field must have its ``shapes()`` shape exactly: no broadcasting
+        of a [1] or [1, d] bias, no extra axis. The error names the container's
+        field and the shape it got, and the tape stays empty."""
+        plan, call = CONTAINER_KERNELS[kernel]
+        rng = np.random.default_rng(91)
+        containers = [cls.create(rng, *dims) for cls, dims in plan]
+        containers[index] = replace(containers[index], **{field: Variable(np.full(bad_shape, 0.5))})
+        name = re.escape(f"{plan[index][0].__name__}.{field}")
+        with Tape() as tape:
+            with pytest.raises(ShapeError, match=rf"\b{name}\b.*{re.escape(str(bad_shape))}"):
+                call(*containers)
+        assert len(tape) == 0
 
 
 LIVE_COUNTS = {  # live positions out of n

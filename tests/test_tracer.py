@@ -24,7 +24,7 @@ def tracing():
     return module
 
 
-@pytest.mark.parametrize("kind,nodes", [("cow", 3), ("rcnn-hw", 6)])
+@pytest.mark.parametrize("kind,nodes", [("cow", 3), ("rcnn-hw", 6), ("cnn", 7)])
 def test_traced_epoch_times_every_step(tracing, kind, nodes):
     """One epoch of a tiny model under the tracer: every training step is
     timed, ``optim.step`` and the backward among its parts, every tape node
