@@ -210,7 +210,7 @@ def _dense_softmax(rng):
     w = L.glorot_uniform(rng, d, classes)
     b = rng.uniform(-0.5, 0.5, classes)
     x, w, b = head = [Variable(_uniform(rng, batch, d)), Variable(w), Variable(b)]
-    return head, lambda: L.dense_softmax(x, w, b), True
+    return head, lambda: L.dense_softmax(x, L.DenseParams(w, b)), True
 
 
 def _softmax_cross_entropy(rng):

@@ -171,31 +171,24 @@ def _rows_used(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray
     return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
 
 
-def embedding_lookup(table: Variable, ids: np.ndarray) -> Variable:
-    """Row gather; the gradient is a weighted count into looked-up rows, in np.add.at's order: one
-    bincount over the U·D cells of the U rows used."""
-    _check_ids(ids, table.shape[0])
-    out = Variable(table.value[ids])
-
-    def bw(g: np.ndarray) -> None:
-        (rows, inverse), width = _rows_used(ids, table.shape[0]), table.shape[1]
-        cells = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        sums = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size * width)
-        table.add_row_sums(rows, sums.reshape(rows.size, width))
-
-    return record("embedding_lookup", out, bw)
-
-
 def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -> Variable:
-    """The batch's embeddings, [B, T, D]; with ``pool``, their sum over each text's first
-    lengths[b] positions, [B, D], as one node: an embedding bag (Joulin et al., arXiv 1607.01759)
-    whose [B, U] counts of the U rows used give the output, counts @ table[rows], and the
-    gradient, counts.T @ g. Neither depends on token order, so neither do the sums, bit for bit."""
+    """The batch's embeddings, [B, T, D], as a row gather whose gradient is a weighted count into
+    the looked-up rows, in np.add.at's order: one bincount over the U·D cells of the U rows used.
+    With ``pool``, their sum over each text's first lengths[b] positions, [B, D], as one node: an
+    embedding bag (Joulin et al., arXiv 1607.01759) whose [B, U] counts of the U rows used give the
+    output, counts @ table[rows], and the gradient, counts.T @ g. Neither depends on token order,
+    so neither do the sums, bit for bit."""
     (table,) = params.checked(params.table.shape[0], params.table.shape[-1])
     ids = batch.ids
-    if not pool:
-        return embedding_lookup(table, ids)
     _check_ids(ids, table.shape[0])
+    if not pool:
+        def bw(g: np.ndarray) -> None:
+            (rows, inverse), width = _rows_used(ids, table.shape[0]), table.shape[1]
+            cells = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            sums = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size * width)
+            table.add_row_sums(rows, sums.reshape(rows.size, width))
+
+        return record("embedding_lookup", Variable(table.value[ids]), bw)
     batch_size, steps = ids.shape
     valid = np.arange(steps) < _validate_lengths(batch.lengths, batch_size, steps)[:, None]
     rows, inverse = _rows_used(ids, table.shape[0])
@@ -214,6 +207,15 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
 # and its hand-written BPTT, and a scan records one tape node. Kernels run
 # time-major in processing order: a backward scan reverses its input first,
 # exactly as a forward scan of the reversed input. Cell steps are the T=1 case.
+
+def _sequence(x: Variable, name: str, steps: int = 1) -> tuple[int, int, int]:
+    """The [batch, T, d] shape of ``name``'s input ``x``, once it has at least ``steps`` time steps."""
+    if x.value.ndim != 3:
+        raise ShapeError(f"{name} expects [batch, T, d], got {x.shape}")
+    if x.shape[1] < steps:
+        raise ContractError(f"{name} got {x.shape[1]} time steps, needs at least {steps}")
+    return x.shape
+
 
 def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     """[B, T, k] in time order -> [T, B, k] in processing order, as a view."""
@@ -417,10 +419,7 @@ def _lstm_kernel(x: Variable, h0: Variable, c0: Variable, dirs, out: np.ndarray)
 
 def _scan_reverse(inputs: Variable, direction: str, name: str) -> bool:
     """Validate a scan's input and direction; True for the backward direction."""
-    if inputs.value.ndim != 3:
-        raise ShapeError(f"{name} expects [batch, T, d], got {inputs.shape}")
-    if inputs.shape[1] < 1:
-        raise ContractError(f"{name} needs at least one time step")
+    _sequence(inputs, name)
     if direction not in ("forward", "backward"):
         raise ContractError(f"unknown scan direction: {direction!r}")
     return direction == "backward"
@@ -475,8 +474,7 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
     [batch, T, 2h+e]: the backward and forward GRU scans of the [batch, T, e]
     embeddings from zero states, run as one loop and one tape node.
     """
-    _scan_reverse(x, "forward", "birnn_context")  # validates x
-    (batch, steps, embed), hidden = x.shape, p_fwd.u_r.shape[0]
+    (batch, steps, embed), hidden = _sequence(x, "birnn_context"), p_fwd.u_r.shape[0]
     mid = slice(hidden, hidden + embed)
     out = np.empty((batch, steps, 2 * hidden + embed))
     dirs = [(p_fwd, False, slice(hidden + embed, None)), (p_bwd, True, slice(None, hidden))]
@@ -621,12 +619,8 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
     windows lie in different examples, so plain indexed adds credit the
     filter and add onto the input's windows in place.
     """
-    if y.value.ndim != 3:
-        raise ShapeError(f"conv1d expects [batch, T, d], got {y.shape}")
-    batch, steps, width = y.shape
     h = p.window
-    if steps < h:
-        raise ContractError(f"sequence length {steps} shorter than conv window {h}")
+    batch, steps, width = _sequence(y, "conv1d_forward", h)
     filters, bias = p.checked(h, width, p.filters.shape[0])
     length, num_filters = steps - h + 1, filters.shape[0]
     # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
@@ -667,10 +661,7 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
 
 def maxpool_over_time(feature_map: Variable) -> Variable:
     """Per-filter maximum over positions; gradient goes to the first argmax."""
-    if feature_map.value.ndim != 3:
-        raise ShapeError(f"maxpool expects [batch, L, filters], got {feature_map.shape}")
-    if feature_map.shape[1] < 1:
-        raise ContractError("maxpool over an empty time axis")
+    _sequence(feature_map, "maxpool_over_time")
     pooled, (rows, at) = _max_over_time(feature_map.value.transpose(2, 0, 1))
 
     def bw(g: np.ndarray) -> None:
@@ -696,9 +687,7 @@ def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, mean: bool) ->
     """The sum, or with ``mean`` the mean, of the first lengths[b] positions;
     padding is excluded. Summands are sorted first so the reduction is
     bit-exactly independent of token order."""
-    if x.value.ndim != 3:
-        raise ShapeError(f"time reduction expects [batch, T, d], got {x.shape}")
-    lengths = _validate_lengths(lengths, *x.shape[:2])
+    lengths = _validate_lengths(lengths, *_sequence(x, op)[:2])
     weight = 1.0 / lengths if mean else np.ones(lengths.shape)
     mask = np.arange(x.shape[1])[None, :, None] < lengths[:, None, None]
     out = Variable(np.sort(np.where(mask, x.value, 0.0), axis=1).sum(axis=1) * weight[:, None])
@@ -712,7 +701,8 @@ def _weighted_time_sum(op: str, x: Variable, lengths: np.ndarray, mean: bool) ->
 def sum_over_time(x: Variable, lengths: np.ndarray) -> Variable:
     """Sum of the first lengths[b] positions; the weight 1.0 leaves every sum bit-exact.
     No model calls it (``cow`` pools in ``embed``). Like ``maxpool_over_time``, it stays:
-    ``bench/tracer.py`` wraps it by name, tests use it as a reference, and gradcheck checks it."""
+    ``bench/tracer.py`` wraps it by name, summed over unpooled ``embed`` it is the embedding
+    bag's test reference, and gradcheck checks it."""
     return _weighted_time_sum("sum_over_time", x, lengths, mean=False)
 
 
@@ -753,22 +743,22 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - np.sum(g * p, axis=1, keepdims=True))
 
 
-def dense_softmax(x: Variable, w: Variable, b: Variable) -> Variable:
-    """Class probabilities softmax(x·W + b), [batch, classes], as one tape node."""
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"classifier needs [batch, d] by [d, classes], got {x.shape} by {w.shape}")
-    if w.shape[1] < 2:
-        raise ContractError(f"classifier needs at least 2 classes, got {w.shape[1]}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"classifier bias must be [{w.shape[1]}], got {b.shape}")
+def dense_softmax(x: Variable, p: DenseParams) -> Variable:
+    """Class probabilities softmax(x·W + b), [batch, classes], as one tape node. The weight's
+    rank is checked before any of its dimensions is read."""
+    if x.value.ndim != 2 or p.w.value.ndim != 2 or x.shape[1] != p.w.shape[0]:
+        raise ShapeError(f"dense_softmax needs [batch, d] by DenseParams.w [d, classes], got {x.shape} by {p.w.shape}")
+    if p.w.shape[1] < 2:
+        raise ContractError(f"dense_softmax needs at least 2 classes, got {p.w.shape[1]}")
+    w, b = p.checked(*p.w.shape)
     z = x.value @ w.value
     z += b.value
-    p = _softmax(z)
+    probs = _softmax(z)
 
     def bw(g: np.ndarray) -> None:
-        dz = _softmax_grad(p, g)
+        dz = _softmax_grad(probs, g)
         w.ensure_grad()[...] += x.value.T @ dz
         b.ensure_grad()[...] += dz.sum(axis=0)
         x.ensure_grad()[...] += dz @ w.value.T
 
-    return record("dense_softmax", Variable(p), bw)
+    return record("dense_softmax", Variable(probs), bw)

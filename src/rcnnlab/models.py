@@ -154,8 +154,7 @@ class Model:
             raise ContractError(f"batch seq_len {batch.seq_len} does not match model seq_len {spec.seq_len}")
         # cow's bag of words is the embedding's pooled form: one node, [B, D].
         x = L.embed(batch, self.blocks["embedding"], pool=spec.kind == "cow")
-        head = self.blocks["head"]
-        return L.dense_softmax(self.wiring(self.blocks, x, batch), head.w, head.b)
+        return L.dense_softmax(self.wiring(self.blocks, x, batch), self.blocks["head"])
 
 
 def _architecture(spec: ModelSpec) -> tuple[dict, int, Callable]:

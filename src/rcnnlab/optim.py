@@ -49,20 +49,19 @@ def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm. A compact gradient's row sums are scaled in
-    place, so it stays compact. Its squares fill its rows of a zero [V, D]
-    array, so that np.sum adds the dense gradient's squares in their pairwise
-    order and the norm keeps its bits; summing the U rows alone would not.
+    place, so it stays compact. Every gradient's squares fill its rows (all
+    of them, ``...``, for a dense one) of a zero array shaped like its
+    parameter, so that np.sum adds the dense gradient's squares in their
+    pairwise order and the norm keeps its bits; summing the U rows of a
+    compact one alone would not.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     grads, total = [(p, *_rows(p)) for p in params], 0.0
     for p, g, rows in grads:
-        if rows is ...:
-            total += float(np.sum(g * g))
-        else:
-            squares = np.zeros_like(p.value)
-            squares[rows] = g * g
-            total += float(np.sum(squares))
+        squares = np.zeros_like(p.value)
+        squares[rows] = g * g
+        total += float(np.sum(squares))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm

@@ -1,6 +1,7 @@
 """Layer tests: hand-evaluated oracles, carry regimes, scan symmetries,
 masked reductions, and the finite-difference suite."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -49,13 +50,13 @@ def make_batch(ids, lengths=None, labels=None):
 class TestEmbedding:
     def test_repeated_lookup(self):
         table = Variable(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
-        out = L.embedding_lookup(table, np.array([[1, 1]]))
+        out = L.embed(make_batch([[1, 1]]), L.EmbeddingParams(table))
         np.testing.assert_array_equal(out.value, [[[1.0, 2.0], [1.0, 2.0]]])
 
     def test_gradient_touches_only_referenced_rows(self):
         table = Variable(np.zeros((5, 2)))
         with Tape() as tape:
-            loss = sum_all(L.embedding_lookup(table, np.array([[1, 3, 1]])))
+            loss = sum_all(L.embed(make_batch([[1, 3, 1]]), L.EmbeddingParams(table)))
         backward(tape, loss)
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1], [0, 0]])
 
@@ -86,7 +87,7 @@ class TestEmbedding:
             np.testing.assert_array_equal(table.grad.view(np.uint64), expected.view(np.uint64))
             assert table.grad_rows is None and table.row_sums is None
 
-        check(lambda: L.embedding_lookup(table, ids), g, ids.reshape(-1), g.reshape(-1, width))
+        check(lambda: L.embed(make_batch(ids), L.EmbeddingParams(table)), g, ids.reshape(-1), g.reshape(-1, width))
         lengths = rng.integers(1, ids_shape[1] + 1, ids_shape[0])
         valid = np.arange(ids_shape[1]) < lengths[:, None]
         bag_g = rng.integers(-64, 65, (ids_shape[0], width)) / 64.0
@@ -110,8 +111,8 @@ class TestEmbedding:
     def test_second_lookup_of_one_table_adds_densely(self):
         table = Variable(np.ones((6, 2)))
         with Tape() as tape:
-            loss = add(sum_all(L.embedding_lookup(table, np.array([[3, 1]]))),
-                       sum_all(L.embedding_lookup(table, np.array([[4, 3]]))))
+            loss = add(sum_all(L.embed(make_batch([[3, 1]]), L.EmbeddingParams(table))),
+                       sum_all(L.embed(make_batch([[4, 3]]), L.EmbeddingParams(table))))
         backward(tape, loss)
         assert table.grad_rows is None and table.row_sums is None
         np.testing.assert_array_equal(table.grad, [[0, 0], [1, 1], [0, 0], [2, 2], [1, 1], [0, 0]])
@@ -123,9 +124,9 @@ class TestEmbedding:
         table = Variable(np.ones((6, 2)))
         with Tape() as tape:
             if lookup_first:
-                looked_up, whole = sum_all(L.embedding_lookup(table, np.array([[3, 1]]))), sum_all(table)
+                looked_up, whole = sum_all(L.embed(make_batch([[3, 1]]), L.EmbeddingParams(table))), sum_all(table)
             else:
-                whole, looked_up = sum_all(table), sum_all(L.embedding_lookup(table, np.array([[3, 1]])))
+                whole, looked_up = sum_all(table), sum_all(L.embed(make_batch([[3, 1]]), L.EmbeddingParams(table)))
             loss = add(looked_up, whole)
         backward(tape, loss)
         assert table.grad_rows is None
@@ -134,7 +135,7 @@ class TestEmbedding:
     def test_zero_grad_clears_the_row_hint(self):
         table = Variable(np.ones((6, 2)))
         with Tape() as tape:
-            loss = sum_all(L.embedding_lookup(table, np.array([[3, 1]])))
+            loss = sum_all(L.embed(make_batch([[3, 1]]), L.EmbeddingParams(table)))
         backward(tape, loss)
         np.testing.assert_array_equal(table.grad_rows, [1, 3])
         table.zero_grad()
@@ -148,7 +149,7 @@ class TestEmbedding:
     def test_id_out_of_range_names_position(self):
         table = Variable(np.zeros((3, 2)))
         with pytest.raises(DataError, match=r"\(0, 1\)"):
-            L.embedding_lookup(table, np.array([[1, 7]]))
+            L.embed(make_batch([[1, 7]]), L.EmbeddingParams(table))
 
 
 class TestEmbeddingBag:
@@ -188,7 +189,7 @@ class TestEmbeddingBag:
         def run(pooled):
             table = Variable(value.copy())
             with Tape() as tape:
-                unpooled = lambda: sum_all(mul(L.embedding_lookup(table, other_ids), Variable(w_other)))
+                unpooled = lambda: sum_all(mul(L.embed(make_batch(other_ids), L.EmbeddingParams(table)), Variable(w_other)))
                 terms = [unpooled()] if other == "before" else []
                 out = pooled(table)
                 terms.append(sum_all(mul(out, Variable(w))))
@@ -198,7 +199,7 @@ class TestEmbeddingBag:
             return out.value, table.grad_rows, table.grad  # the rows first: reading grad clears them
 
         got = run(lambda t: L.embed(b, L.EmbeddingParams(t), pool=True))
-        ref = run(lambda t: L.sum_over_time(L.embedding_lookup(t, b.ids), b.lengths))
+        ref = run(lambda t: L.sum_over_time(L.embed(make_batch(b.ids), L.EmbeddingParams(t)), b.lengths))
         np.testing.assert_array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
         np.testing.assert_array_equal(got[2].view(np.uint64), ref[2].view(np.uint64))
         if other == "none":
@@ -217,7 +218,7 @@ class TestEmbeddingBag:
         params = L.EmbeddingParams(Variable(np.zeros((3, 2))))
         ids = np.array([[1, 2], [2, 0]])
         with pytest.raises((ContractError, ShapeError)) as expected:
-            L.sum_over_time(L.embedding_lookup(params.table, ids), np.array(lengths))
+            L.sum_over_time(L.embed(make_batch(ids), params), np.array(lengths))
         with pytest.raises(expected.type):
             L.embed(EncodedBatch(ids, np.array(lengths), np.zeros(2, dtype=np.int64)), params, pool=True)
 
@@ -989,12 +990,12 @@ class TestDenseSoftmax:
         x = Variable(rng.normal(size=(6, 4)))
         w = Variable(rng.normal(size=(4, 3)))
         b = Variable(rng.normal(size=3))
-        probs = L.dense_softmax(x, w, b).value
+        probs = L.dense_softmax(x, L.DenseParams(w, b)).value
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ContractError):
-            L.dense_softmax(Variable(np.zeros((1, 2))), Variable(np.zeros((2, 1))), Variable(np.zeros(1)))
+            L.dense_softmax(Variable(np.zeros((1, 2))), L.DenseParams(Variable(np.zeros((2, 1))), Variable(np.zeros(1))))
 
     @pytest.mark.parametrize("batch,d,classes", [(32, 32, 2), (3, 4, 5)])  # rcnn-hw-long's head, then a small one
     def test_matches_taped_reference_bit_for_bit(self, batch, d, classes):
@@ -1003,7 +1004,7 @@ class TestDenseSoftmax:
         p = random_params(L.DenseParams, rng, d, classes)
         x = rng.uniform(-2, 2, (batch, d))
         g = rng.normal(size=(batch, classes))
-        out, grads = weighted_grads(lambda xs: L.dense_softmax(xs, p.w, p.b), p, [x], g)
+        out, grads = weighted_grads(lambda xs: L.dense_softmax(xs, p), p, [x], g)
         ref, ref_grads = weighted_grads(lambda xs: taped_dense_softmax(xs, p.w, p.b), p, [x], g)
         np.testing.assert_array_equal(out, ref)
         for got, expected in zip(grads, ref_grads):
@@ -1011,18 +1012,24 @@ class TestDenseSoftmax:
 
     def test_one_tape_node_per_call(self):
         with Tape() as tape:
-            L.dense_softmax(Variable(np.ones((2, 3))), Variable(np.ones((3, 2))), Variable(np.zeros(2)))
+            L.dense_softmax(Variable(np.ones((2, 3))), L.DenseParams(Variable(np.ones((3, 2))), Variable(np.zeros(2))))
         assert len(tape) == 1
 
     def test_mismatched_weight_rejected(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            L.dense_softmax(Variable(np.zeros((2, 3))), Variable(np.zeros((4, 2))), Variable(np.zeros(2)))
+            L.dense_softmax(Variable(np.zeros((2, 3))), L.DenseParams(Variable(np.zeros((4, 2))), Variable(np.zeros(2))))
         with pytest.raises(ShapeError):
-            L.dense_softmax(Variable(np.zeros((2, 1, 3))), Variable(np.zeros((3, 2))), Variable(np.zeros(2)))
+            L.dense_softmax(Variable(np.zeros((2, 1, 3))), L.DenseParams(Variable(np.zeros((3, 2))), Variable(np.zeros(2))))
 
     def test_mismatched_bias_rejected(self):
         with pytest.raises(ShapeError, match="bias"):
-            L.dense_softmax(Variable(np.zeros((2, 3))), Variable(np.zeros((3, 2))), Variable(np.zeros(3)))
+            L.dense_softmax(Variable(np.zeros((2, 3))), L.DenseParams(Variable(np.zeros((3, 2))), Variable(np.zeros(3))))
+
+    def test_zero_d_weight_rejected_before_its_dimensions_are_read(self):
+        with Tape() as tape:
+            with pytest.raises(ShapeError, match=r"DenseParams\.w.*\(\)"):
+                L.dense_softmax(Variable(np.zeros((2, 3))), L.DenseParams(Variable(np.float64(1.0)), Variable(np.zeros(2))))
+        assert len(tape) == 0
 
 
 class TestDenseRelu:
@@ -1073,6 +1080,7 @@ CONTAINER_KERNELS = {
     "dense_relu_positions": ([(L.DenseParams, (3, 4))], lambda p: L.dense_relu_positions(Variable(X3), p)),
     "conv1d_forward": ([(L.ConvParams, (2, 3, 4))], lambda p: L.conv1d_forward(Variable(X3), p)),
     "conv1d_forward_pooled": ([(L.ConvParams, (2, 3, 4))], lambda p: L.conv1d_forward(Variable(X3), p, pool=True)),
+    "dense_softmax": ([(L.DenseParams, (3, 4))], lambda p: L.dense_softmax(Variable(X3[:, 0]), p)),
 }
 
 
@@ -1092,6 +1100,18 @@ def misshapen_fields():
 
 
 class TestContainerShapes:
+    def test_every_kernel_that_takes_a_container_is_listed(self):
+        """A public ``layers`` function with a parameter annotated as a container
+        must be a key of ``CONTAINER_KERNELS``, so that its fields get the cases below."""
+        takes_container = {
+            name for name, fn in vars(L).items()
+            if inspect.isfunction(fn) and fn.__module__ == L.__name__ and not name.startswith("_")
+            and any(isinstance(a, type) and issubclass(a, L._Params)
+                    for a in inspect.get_annotations(fn, eval_str=True).values())
+        }
+        assert "dense_softmax" in takes_container and "birnn_context" in takes_container
+        assert takes_container - CONTAINER_KERNELS.keys() == set()
+
     def test_kernels_run_on_the_declared_shapes(self):
         for plan, call in CONTAINER_KERNELS.values():
             rng = np.random.default_rng(90)
@@ -1111,6 +1131,36 @@ class TestContainerShapes:
             with pytest.raises(ShapeError, match=rf"\b{name}\b.*{re.escape(str(bad_shape))}"):
                 call(*containers)
         assert len(tape) == 0
+
+
+# Every kernel that takes a [batch, T, d] input: its name, a call on such an input x of width 3,
+# and the fewest time steps it takes.
+SEQUENCE_KERNELS = {
+    "gru_scan": (lambda x, rng: L.gru_scan(x, L.GruParams.create(rng, 3, 2)), 1),
+    "lstm_scan": (lambda x, rng: L.lstm_scan(x, L.LstmParams.create(rng, 3, 2), "backward"), 1),
+    "birnn_context": (lambda x, rng: L.birnn_context(x, *(L.GruParams.create(rng, 3, 2) for _ in range(2))), 1),
+    "conv1d_forward": (lambda x, rng: L.conv1d_forward(x, L.ConvParams.create(rng, 2, 3, 4)), 2),
+    "conv1d_forward_pooled": (lambda x, rng: L.conv1d_forward(x, L.ConvParams.create(rng, 2, 3, 4), pool=True), 2),
+    "maxpool_over_time": (lambda x, rng: L.maxpool_over_time(x), 1),
+    "mean_over_time": (lambda x, rng: L.mean_over_time(x, np.ones(x.shape[0], dtype=np.int64)), 1),
+    "sum_over_time": (lambda x, rng: L.sum_over_time(x, np.ones(x.shape[0], dtype=np.int64)), 1),
+}
+
+
+class TestSequenceInputs:
+    @pytest.mark.parametrize("kernel", list(SEQUENCE_KERNELS))
+    def test_bad_sequence_raises_naming_the_kernel_before_any_node(self, kernel):
+        """A 2-d input is a ``ShapeError`` and one with too few time steps a
+        ``ContractError``; each names the kernel and leaves the tape empty. At the
+        fewest steps the kernel runs."""
+        call, fewest = SEQUENCE_KERNELS[kernel]
+        name = kernel.removesuffix("_pooled")
+        for shape, error in (((2, 3), ShapeError), ((2, fewest - 1, 3), ContractError)):
+            with Tape() as tape:
+                with pytest.raises(error, match=rf"^{name}\b"):
+                    call(Variable(np.zeros(shape)), np.random.default_rng(92))
+            assert len(tape) == 0
+        assert call(Variable(np.zeros((2, fewest, 3))), np.random.default_rng(92)).shape[0] == 2
 
 
 LIVE_COUNTS = {  # live positions out of n

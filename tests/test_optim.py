@@ -7,7 +7,7 @@ import pytest
 
 from rcnnlab.autodiff import Tape, Variable, backward
 from rcnnlab.errors import ConfigError, DataError, ShapeError
-from rcnnlab.layers import dense_softmax
+from rcnnlab.layers import DenseParams, dense_softmax
 from rcnnlab.optim import Adadelta, Adam, RmsProp, clip_gradients, cross_entropy_loss, make_optimizer
 
 
@@ -55,7 +55,7 @@ class TestCrossEntropy:
         b = Variable(np.zeros(2))
         labels = np.array([0, 1, 0])
         with Tape() as tape:
-            probs = dense_softmax(x, w, b)
+            probs = dense_softmax(x, DenseParams(w, b))
             loss = cross_entropy_loss(probs, labels)
         backward(tape, loss)
         p = probs.value.copy()
@@ -322,7 +322,7 @@ class TestToyTraining:
         for _ in range(50):
             opt.zero_grads()
             with Tape() as tape:
-                loss = cross_entropy_loss(dense_softmax(x, w, b), labels)
+                loss = cross_entropy_loss(dense_softmax(x, DenseParams(w, b)), labels)
             backward(tape, loss)
             losses.append(float(loss.value))
             opt.step()
