@@ -7,6 +7,13 @@ order, which is a valid topological order because every node's inputs
 exist before the node is appended. Gradients accumulate in place, so a
 Variable used twice receives the sum of both branch gradients.
 
+A backward consumes its tape, as PyTorch's does by default
+(``retain_graph=False``): it pops each node, drops the tape's hold on the
+node's output before the rule runs, and drops the closure, with the arrays
+it saved, as soon as the rule returns. So a node's saved state dies while
+the nodes before it are still to run, not when the whole backward ends, and
+the tape holds nothing once backward returns.
+
 The engine defines no ops. Every differentiable op is a kernel in
 ``layers`` that computes its output with numpy and records one node whose
 backward rule is written by hand (``record``). There is no implicit
@@ -122,14 +129,17 @@ class Tape:
 
     Used as a context manager; ops executed inside record themselves on
     the innermost active tape. A tape must only ever be mutated by the
-    thread that opened it.
+    thread that opened it. ``backward`` consumes it: it pops every node and
+    sets ``consumed``, after which the tape holds nothing and takes no
+    second backward.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "consumed")
 
     def __init__(self):
         # Each node: (op name, output Variable, backward closure).
         self.nodes: list[tuple[str, Variable, Callable[[np.ndarray], None]]] = []
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         if not hasattr(_STATE, "stack"):
@@ -160,13 +170,28 @@ def record(op: str, out: Variable, backward_fn: Callable[[np.ndarray], None]) ->
 
 
 def backward(tape: Tape, loss: Variable) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of everything reachable from a scalar loss, consuming ``tape``.
+
+    Each node is popped, last first. The tape lets go of its output Variable
+    before its rule runs, so the rule gets only the upstream gradient array,
+    and the output's value and gradient die there unless a caller or a later
+    node's closure still holds them (a later node's is gone by then). The
+    closure, with every array it saved, dies as soon as its rule returns. A
+    second backward of the same tape raises ContractError.
+    """
+    if tape.consumed:
+        raise ContractError("backward already consumed this tape; record the forward again")
     if loss.value.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.value)
-    for _op, out, backward_fn in reversed(tape.nodes):
-        if out.grad is not None:
-            backward_fn(out.grad)
+    while tape.nodes:
+        _op, out, backward_fn = tape.nodes.pop()
+        g = out.grad
+        del out
+        if g is not None:
+            backward_fn(g)
+        del backward_fn, g
 
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

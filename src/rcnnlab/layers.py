@@ -42,6 +42,16 @@ def _draw(rng: np.random.Generator, shapes) -> list[Variable]:
     return [Variable(glorot_uniform(rng, *s) if len(s) == 2 else np.zeros(s)) for s in shapes]
 
 
+class _Free:
+    """A dimension a kernel leaves free in ``_Params.checked``, shown by the name ``shapes`` gives it."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 @dataclass
 class _Params:
     """Base of the parameter containers. Each declares its Variable fields
@@ -56,8 +66,21 @@ class _Params:
 
     def checked(self, *dims) -> list[Variable]:
         """The Variable fields in order, once each has its ``shapes(*dims)`` shape exactly. A kernel
-        calls this first and credits what it returns, even if a field is swapped before backward."""
+        calls this first and credits what it returns, even if a field is swapped before backward.
+
+        A dim given as None is free: it is read off the first field that declares it, once that
+        field's rank is checked, and every field must then match it. So no dimension is read off a
+        field of the wrong rank, 0-d included: that raises the ShapeError naming the field."""
         named = self.named()
+        if None in dims:
+            dims = [_Free(n) if d is None else d for n, d in zip(self.shapes.__code__.co_varnames, dims)]
+            bound = {}
+            for (_name, v), shape in zip(named, self.shapes(*dims)):
+                if v.value.ndim == len(shape):
+                    for d, n in zip(shape, v.shape):
+                        if isinstance(d, _Free):
+                            bound.setdefault(d, n)
+            dims = [bound.get(d, d) for d in dims]
         for (name, v), shape in zip(named, self.shapes(*dims), strict=True):
             if v.shape != shape:
                 kind = "bias" if len(shape) == 1 else "matrix"
@@ -178,7 +201,7 @@ def embed(batch: EncodedBatch, params: EmbeddingParams, *, pool: bool = False) -
     embedding bag (Joulin et al., arXiv 1607.01759) whose [B, U] counts of the U rows used give the
     output, counts @ table[rows], and the gradient, counts.T @ g. Neither depends on token order,
     so neither do the sums, bit for bit."""
-    (table,) = params.checked(params.table.shape[0], params.table.shape[-1])
+    (table,) = params.checked(None, None)
     ids = batch.ids
     _check_ids(ids, table.shape[0])
     if not pool:
@@ -241,8 +264,9 @@ class _Recurrence:
 
     def __init__(self, name: str, x: Variable, states: tuple[Variable, ...], dirs):
         (batch, steps, width), k = _steps(x.value).shape, len(dirs)
-        hidden = dirs[0][0].named()[0][1].shape[-1]  # the first direction's W [d, h]; every direction is checked against it
-        self.params = [p.checked(width, hidden) for p, _reverse, _band in dirs]
+        self.params = [dirs[0][0].checked(width, None)]  # the first direction's W [d, h]; every other is checked against it
+        hidden = self.params[0][0].shape[-1]
+        self.params += [p.checked(width, hidden) for p, _reverse, _band in dirs[1:]]
         self.x, self.states, self.dirs, gates, n = x, states, dirs, len(self.params[0]) // 3, k * hidden
         for s in states:
             if s.shape != (batch, n):
@@ -425,6 +449,11 @@ def _scan_reverse(inputs: Variable, direction: str, name: str) -> bool:
     return direction == "backward"
 
 
+def _hidden(p: GruParams | LstmParams, x: Variable) -> int:
+    """The state width of the cell ``p`` on inputs ``x`` of width d, read once ``p`` is checked."""
+    return p.checked(x.shape[-1], None)[0].shape[-1]
+
+
 def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Variable:
     """GRU states [batch, T, h] over [batch, T, d] inputs from a zero state.
 
@@ -432,30 +461,29 @@ def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Vari
     their original positions, so position t holds the state computed from
     the suffix t..T.
     """
-    reverse = _scan_reverse(inputs, direction, "gru_scan")
-    out = np.empty(inputs.shape[:2] + (p.u_r.shape[0],))
-    h0 = Variable(np.zeros((inputs.shape[0], p.u_r.shape[0])))
+    reverse, hidden = _scan_reverse(inputs, direction, "gru_scan"), _hidden(p, inputs)
+    out, h0 = np.empty(inputs.shape[:2] + (hidden,)), Variable(np.zeros((inputs.shape[0], hidden)))
     return record("gru_scan", Variable(out), _gru_kernel(inputs, h0, [(p, reverse, slice(None))], out))
 
 
 def lstm_scan(inputs: Variable, p: LstmParams, direction: str = "forward") -> Variable:
     """LSTM hidden states [batch, T, h] from a zero state; directions as in ``gru_scan``."""
-    reverse = _scan_reverse(inputs, direction, "lstm_scan")
-    out, zeros = np.empty(inputs.shape[:2] + (p.u_i.shape[0],)), np.zeros((inputs.shape[0], p.u_i.shape[0]))
+    reverse, hidden = _scan_reverse(inputs, direction, "lstm_scan"), _hidden(p, inputs)
+    out, zeros = np.empty(inputs.shape[:2] + (hidden,)), np.zeros((inputs.shape[0], hidden))
     bw, _c = _lstm_kernel(inputs, Variable(zeros), Variable(zeros), [(p, reverse, slice(None))], out)
     return record("lstm_scan", Variable(out), bw)
 
 
-def _one_step(x_t: Variable, hidden: int, name: str) -> np.ndarray:
+def _one_step(x_t: Variable, p: GruParams | LstmParams, name: str) -> np.ndarray:
     """Validate a cell step's input; the [batch, h] buffer for its new state."""
     if x_t.value.ndim != 2:
         raise ShapeError(f"{name} expects [batch, d], got {x_t.shape}")
-    return np.empty((x_t.shape[0], hidden))
+    return np.empty((x_t.shape[0], _hidden(p, x_t)))
 
 
 def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
     """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1, as one tape node."""
-    out = _one_step(x_t, p.u_r.shape[0], "gru_cell_step")
+    out = _one_step(x_t, p, "gru_cell_step")
     return record("gru_cell_step", Variable(out), _gru_kernel(x_t, h_prev, [(p, False, slice(None))], out))
 
 
@@ -463,7 +491,7 @@ def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: Lstm
     """One LSTM step, returning (h_t, c_t): the scan kernel at T=1 as one tape
     node, and c_t as a second, whose backward only makes sure the kernel's runs
     and reads c_t's gradient, so c gets gradient even when h_t was not used."""
-    out = _one_step(x_t, p.u_i.shape[0], "lstm_cell_step")
+    out = _one_step(x_t, p, "lstm_cell_step")
     bw, c_t = _lstm_kernel(x_t, *state_prev, [(p, False, slice(None))], out)
     h_t = record("lstm_cell_step", Variable(out), bw)
     return h_t, record("lstm_cell_state", c_t, lambda _g: h_t.ensure_grad())
@@ -474,7 +502,7 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
     [batch, T, 2h+e]: the backward and forward GRU scans of the [batch, T, e]
     embeddings from zero states, run as one loop and one tape node.
     """
-    (batch, steps, embed), hidden = _sequence(x, "birnn_context"), p_fwd.u_r.shape[0]
+    (batch, steps, embed), hidden = _sequence(x, "birnn_context"), _hidden(p_fwd, x)
     mid = slice(hidden, hidden + embed)
     out = np.empty((batch, steps, 2 * hidden + embed))
     dirs = [(p_fwd, False, slice(hidden + embed, None)), (p_bwd, True, slice(None, hidden))]
@@ -569,10 +597,9 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     tape node whose backward is written by hand. Like ``highway_forward``'s,
     the backward works on the live rows alone, and is the dense one, bit for
     bit, when half the rows or more are live."""
-    d, width = x.shape[-1], p.w.shape[-1]
-    if p.w.shape[0] != d:
-        raise ShapeError(f"dense block: DenseParams.w {p.w.shape} expects input width {p.w.shape[0]}, got {d}")
-    w, b = p.checked(d, width)
+    d = x.shape[-1]
+    w, b = p.checked(d, None)
+    width = w.shape[-1]
     rows = x.value.reshape(-1, d)
     y = np.empty((len(rows), width))
     for xb, yb in _row_blocks(d * width, rows, y):
@@ -621,7 +648,7 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
     """
     h = p.window
     batch, steps, width = _sequence(y, "conv1d_forward", h)
-    filters, bias = p.checked(h, width, p.filters.shape[0])
+    filters, bias = p.checked(h, width, None)
     length, num_filters = steps - h + 1, filters.shape[0]
     # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
     cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)

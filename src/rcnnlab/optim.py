@@ -9,6 +9,7 @@ import numpy as np
 
 from .autodiff import Variable, record
 from .errors import ConfigError, DataError, ShapeError
+from .layers import ROW_BLOCK
 
 LOSS_CLAMP = 1e-12  # probability floor before the log, keeps the loss finite
 
@@ -43,6 +44,15 @@ def _rows(p: Variable) -> tuple[np.ndarray, np.ndarray | EllipsisType]:
     compact one's row sums as they are, else ``ensure_grad()`` on all rows
     (``...``)."""
     return (p.row_sums, p.grad_rows) if p.row_sums is not None else (p.ensure_grad(), ...)
+
+
+def _blocks(p: Variable):
+    """``p``'s gradient rows ``ROW_BLOCK`` at a time, each block with the rows of
+    ``p`` it updates: an index array into a compact gradient's rows, which
+    gathers, or a slice of a dense one's, which gives views and gathers nothing."""
+    g, rows = _rows(p)
+    for lo in range(0, len(g), ROW_BLOCK):
+        yield g[lo : lo + ROW_BLOCK], slice(lo, lo + ROW_BLOCK) if rows is ... else rows[lo : lo + ROW_BLOCK]
 
 
 def clip_gradients(params: list[Variable], max_norm: float = 5.0) -> float:
@@ -82,11 +92,19 @@ class _Optimizer:
 class RmsProp(_Optimizer):
     """cache <- rho*cache + (1-rho)*g^2;  p <- p - lr*g/(sqrt(cache)+eps).
 
-    The decay runs over the whole cache; the rest runs on every row of a dense
-    gradient, and only on the rows of a row-compact one (``Variable.grad_rows``),
-    reading its row sums without building its dense array. That is
-    bit-identical to the dense update: on a zero-gradient row it computes
-    rho*c + 0.0 with c >= 0 and p - 0.0, which leave the bits as they are.
+    The decay runs over the whole cache in one pass; the rest runs on every row
+    of a dense gradient, and only on the rows of a row-compact one
+    (``Variable.grad_rows``), reading its row sums without building its dense
+    array. That is bit-identical to the dense update: on a zero-gradient row it
+    computes rho*c + 0.0 with c >= 0 and p - 0.0, which leave the bits as they
+    are.
+
+    The rows go in blocks of ``layers.ROW_BLOCK`` (``_blocks``): each block's
+    cache and parameter rows are gathered once, updated in place and scattered
+    back; a dense gradient's blocks are views, so nothing is gathered or
+    scattered. The update is elementwise, so its bits do not depend on the block
+    size, and a 512-row block's [512, D] temporaries stay in L2 where the whole
+    [U, D] ones (2.2 MB at U = 5,479, D = 50) do not.
     """
 
     def __init__(self, params, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8):
@@ -96,10 +114,12 @@ class RmsProp(_Optimizer):
 
     def step(self) -> None:
         for p, cache in zip(self.params, self.cache):
-            g, rows = _rows(p)
             cache *= self.rho
-            cache[rows] += (1.0 - self.rho) * g * g
-            p.value[rows] -= self.lr * g / (np.sqrt(cache[rows]) + self.eps)
+            for g, at in _blocks(p):
+                c, v = cache[at], p.value[at]
+                c += (1.0 - self.rho) * g * g
+                v -= self.lr * g / (np.sqrt(c) + self.eps)
+                cache[at], p.value[at] = c, v
 
 
 class Adam(_Optimizer):
@@ -137,9 +157,11 @@ class Adadelta(_Optimizer):
     delta = -sqrt(ad + eps)/sqrt(ag + eps) * g
     ad <- rho*ad + (1-rho)*delta^2;  p <- p + lr*delta
 
-    As in :class:`RmsProp`, the decays run over the whole accumulators and the
-    rest only on the gradient's rows. On a zero-gradient row delta is -0.0,
-    and rho*a + 0.0 and p + (-0.0) leave the bits as they are.
+    As in :class:`RmsProp`, the rest runs only on the gradient's rows, in the
+    same row blocks, and ag's decay is one pass over the whole accumulator. ad
+    decays after delta reads it: a block decays its own rows, and one masked
+    pass at the end decays the rows no block touched. On a zero-gradient row
+    delta is -0.0, and rho*a + 0.0 and p + (-0.0) leave the bits as they are.
     """
 
     def __init__(self, params, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6):
@@ -150,13 +172,17 @@ class Adadelta(_Optimizer):
 
     def step(self) -> None:
         for p, ag, ad in zip(self.params, self.acc_grad, self.acc_delta):
-            g, rows = _rows(p)
             ag *= self.rho
-            ag[rows] += (1.0 - self.rho) * g * g
-            delta = -np.sqrt(ad[rows] + self.eps) / np.sqrt(ag[rows] + self.eps) * g
-            ad *= self.rho
-            ad[rows] += (1.0 - self.rho) * delta * delta
-            p.value[rows] += self.lr * delta
+            untouched = np.ones((len(ad),) + (1,) * (ad.ndim - 1), dtype=bool)
+            for g, at in _blocks(p):
+                a_g, a_d, v = ag[at], ad[at], p.value[at]
+                a_g += (1.0 - self.rho) * g * g
+                delta = -np.sqrt(a_d + self.eps) / np.sqrt(a_g + self.eps) * g
+                a_d *= self.rho
+                a_d += (1.0 - self.rho) * delta * delta
+                v += self.lr * delta
+                ag[at], ad[at], p.value[at], untouched[at] = a_g, a_d, v, False
+            np.multiply(ad, self.rho, out=ad, where=untouched)
 
 
 OPTIMIZERS = {"rmsprop": RmsProp, "adam": Adam, "adadelta": Adadelta}

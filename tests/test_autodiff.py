@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,66 @@ class TestBackward:
             pass
         add(Variable(np.zeros(2)), Variable(np.zeros(2)))
         assert len(tape) == 0
+
+
+def scaled(x: Variable, factor: float, seen: list[bool]):
+    """x * factor as one node whose closure alone holds its saved factor array, and
+    a weakref to that array. Its rule appends to ``seen`` whether the node's
+    output value was already gone when the rule ran."""
+    saved = np.full(x.shape, factor)
+    value = x.value * saved
+    output = weakref.ref(value)
+
+    def bw(g: np.ndarray) -> None:
+        seen.append(output() is None)
+        x.ensure_grad()[...] += g * saved
+
+    return ad.record("scaled", Variable(value), bw), weakref.ref(saved)
+
+
+class TestTapeRelease:
+    """``backward`` consumes its tape: each node is popped, its output let go
+    before its rule runs, and its closure with everything it saved as soon as
+    the rule returns."""
+
+    def test_backward_leaves_no_node_and_no_saved_array(self):
+        x, seen = Variable(np.array([1.0, 2.0])), []
+        with Tape() as tape:
+            y, saved = scaled(x, 3.0, seen)
+            loss = sum_all(y)
+        del y
+        assert len(tape) == 2 and saved() is not None
+        ad.backward(tape, loss)
+        assert len(tape) == 0
+        assert saved() is None
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_an_output_is_let_go_before_its_rule_runs(self):
+        x, seen = Variable(np.ones(3)), []
+        with Tape() as tape:
+            loss = sum_all(scaled(x, 2.0, seen)[0])
+        ad.backward(tape, loss)
+        assert seen == [True]
+
+    def test_second_backward_of_a_consumed_tape_raises(self):
+        x = Variable(np.array([1.0, 2.0]))
+        with Tape() as tape:
+            loss = sum_all(mul(x, x))
+        ad.backward(tape, loss)
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_a_rejected_loss_leaves_the_tape_to_run(self):
+        x = Variable(np.array([1.0, 2.0]))
+        with Tape() as tape:
+            y = relu(x)
+            loss = sum_all(y)
+        with pytest.raises(ContractError, match="scalar"):
+            ad.backward(tape, y)
+        assert len(tape) == 2
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 class TestCompactGradient:

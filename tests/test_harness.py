@@ -1,8 +1,10 @@
 """Harness tests: config validation, training determinism, evaluation
 semantics, experiment drivers, and checkpoint round-trips."""
 
+import gc
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcnnlab import harness
-from rcnnlab.autodiff import Variable, backward
+from rcnnlab import layers as L
+from rcnnlab.autodiff import Variable, backward, taping
 from rcnnlab.data import build_vocab, gen_keyword_task
 from rcnnlab.errors import CheckpointError, ConfigError, ContractError, NumericError
 from rcnnlab.harness import (
@@ -164,6 +167,33 @@ class TestTrain:
         fresh = build_model(cfg.spec, cfg.init_seed)
         for name, p in built[0].params.items():
             np.testing.assert_array_equal(p.value, fresh.params[name].value)
+
+    def test_no_highway_output_of_a_training_step_lives_into_validation(self, task, monkeypatch):
+        """Each step's backward consumes its tape, so when an epoch's validation
+        pass starts, no highway output a training step saved is still alive,
+        the last step's included, with no garbage collection needed."""
+        train_set, val_set, _test, vocab = task
+        saved, alive = [], []
+        highway = L.highway_forward
+
+        def tracked(x, p):
+            out = highway(x, p)
+            if taping():
+                saved.extend(weakref.ref(a) for a in (out.value, out.value.base) if a is not None)
+            return out
+
+        def checked_evaluate(*args):
+            alive.append(sum(ref() is not None for ref in saved))
+            return evaluate(*args)
+
+        monkeypatch.setattr(L, "highway_forward", tracked)
+        monkeypatch.setattr(harness, "evaluate", checked_evaluate)
+        gc.disable()
+        try:
+            train(tiny_config(vocab_size=len(vocab), epochs=2), train_set, val_set, vocab)
+        finally:
+            gc.enable()
+        assert saved and alive == [0, 0]
 
     @pytest.mark.parametrize("optimizer", ["rmsprop", "adadelta"])
     def test_row_hinted_steps_train_bit_identically_to_dense_steps(self, optimizer, monkeypatch):

@@ -1055,7 +1055,7 @@ class TestDenseRelu:
 
     def test_mismatched_input_width_rejected(self):
         p = L.DenseParams.create(np.random.default_rng(83), 4, 3)
-        with pytest.raises(ShapeError, match="width 4, got 5"):
+        with pytest.raises(ShapeError, match=r"DenseParams\.w must be a matrix of shape \(5, 3\), got \(4, 3\)"):
             L.dense_relu_positions(Variable(np.zeros((2, 5, 5))), p)
 
     def test_mismatched_bias_rejected(self):
@@ -1086,13 +1086,15 @@ CONTAINER_KERNELS = {
 
 def misshapen_fields():
     """(kernel, container index, field, shape) for each Variable field of each
-    container a kernel takes, and four shapes the field must not have: two that
+    container a kernel takes, and five shapes the field must not have: two that
     numpy would broadcast against it, [1] and a leading 1, one with every axis
-    a size too long, and one with a trailing axis added."""
+    a size too long, one with a trailing axis added, and a 0-d scalar, off which
+    no dimension can be read."""
     for kernel, (plan, _call) in CONTAINER_KERNELS.items():
         for i, (cls, dims) in enumerate(plan):
             for f, shape in zip(fields(cls), cls.shapes(*dims)):
-                bad = {"1": (1,), "leading_1": (1, *shape), "longer": tuple(s + 1 for s in shape), "extra_axis": (*shape, 1)}
+                bad = {"1": (1,), "leading_1": (1, *shape), "longer": tuple(s + 1 for s in shape), "extra_axis": (*shape, 1),
+                       "0-d": ()}
                 if cls is L.EmbeddingParams:
                     del bad["longer"]  # embed reads the vocabulary and the width off the table: any [V, D] is one
                 for label, bad_shape in bad.items():
