@@ -8,11 +8,8 @@ exist before the node is appended. Gradients accumulate in place, so a
 Variable used twice receives the sum of both branch gradients.
 
 A backward consumes its tape, as PyTorch's does by default
-(``retain_graph=False``): it pops each node, drops the tape's hold on the
-node's output before the rule runs, and drops the closure, with the arrays
-it saved, as soon as the rule returns. So a node's saved state dies while
-the nodes before it are still to run, not when the whole backward ends, and
-the tape holds nothing once backward returns.
+(``retain_graph=False``), so each node's saved arrays die as soon as its
+rule has run, not when the whole backward ends.
 
 The engine defines no ops. Every differentiable op is a kernel in
 ``layers`` that computes its output with numpy and records one node whose
@@ -129,9 +126,8 @@ class Tape:
 
     Used as a context manager; ops executed inside record themselves on
     the innermost active tape. A tape must only ever be mutated by the
-    thread that opened it. ``backward`` consumes it: it pops every node and
-    sets ``consumed``, after which the tape holds nothing and takes no
-    second backward.
+    thread that opened it. ``backward`` pops every node and sets
+    ``consumed``; a consumed tape takes no second backward.
     """
 
     __slots__ = ("nodes", "consumed")
@@ -172,12 +168,12 @@ def record(op: str, out: Variable, backward_fn: Callable[[np.ndarray], None]) ->
 def backward(tape: Tape, loss: Variable) -> None:
     """Populate gradients of everything reachable from a scalar loss, consuming ``tape``.
 
-    Each node is popped, last first. The tape lets go of its output Variable
-    before its rule runs, so the rule gets only the upstream gradient array,
-    and the output's value and gradient die there unless a caller or a later
-    node's closure still holds them (a later node's is gone by then). The
-    closure, with every array it saved, dies as soon as its rule returns. A
-    second backward of the same tape raises ContractError.
+    Each node is popped, last first. Its output Variable is let go before its
+    rule runs, so the rule gets only the upstream gradient array, and the
+    output dies there unless the caller or the rule's saved state holds it:
+    the later nodes that read it are gone by then. Its closure, with every
+    array it saved, dies as soon as the rule returns. A second backward of
+    the tape raises ContractError.
     """
     if tape.consumed:
         raise ContractError("backward already consumed this tape; record the forward again")

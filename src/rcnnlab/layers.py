@@ -43,7 +43,7 @@ def _draw(rng: np.random.Generator, shapes) -> list[Variable]:
 
 
 class _Free:
-    """A dimension a kernel leaves free in ``_Params.checked``, shown by the name ``shapes`` gives it."""
+    """A dimension left free in ``_Params.checked``, shown by its name in ``shapes``."""
 
     def __init__(self, name: str):
         self.name = name

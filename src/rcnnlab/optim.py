@@ -97,14 +97,11 @@ class RmsProp(_Optimizer):
     (``Variable.grad_rows``), reading its row sums without building its dense
     array. That is bit-identical to the dense update: on a zero-gradient row it
     computes rho*c + 0.0 with c >= 0 and p - 0.0, which leave the bits as they
-    are.
-
-    The rows go in blocks of ``layers.ROW_BLOCK`` (``_blocks``): each block's
-    cache and parameter rows are gathered once, updated in place and scattered
-    back; a dense gradient's blocks are views, so nothing is gathered or
-    scattered. The update is elementwise, so its bits do not depend on the block
-    size, and a 512-row block's [512, D] temporaries stay in L2 where the whole
-    [U, D] ones (2.2 MB at U = 5,479, D = 50) do not.
+    are. The rows go in blocks of ``layers.ROW_BLOCK`` (``_blocks``), each
+    block's cache and parameter rows gathered once, updated in place and
+    scattered back (views, for a dense gradient). Being elementwise, the update
+    has the same bits at any block size, and a block's [512, D] temporaries stay
+    in L2 where whole [U, D] ones (2.2 MB at U = 5,479, D = 50) do not.
     """
 
     def __init__(self, params, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8):
