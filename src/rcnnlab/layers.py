@@ -42,16 +42,6 @@ def _draw(rng: np.random.Generator, shapes) -> list[Variable]:
     return [Variable(glorot_uniform(rng, *s) if len(s) == 2 else np.zeros(s)) for s in shapes]
 
 
-class _Free:
-    """A dimension left free in ``_Params.checked``, shown by its name in ``shapes``."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
 @dataclass
 class _Params:
     """Base of the parameter containers. Each declares its Variable fields
@@ -70,17 +60,17 @@ class _Params:
 
         A dim given as None is free: it is read off the first field that declares it, once that
         field's rank is checked, and every field must then match it. So no dimension is read off a
-        field of the wrong rank, 0-d included: that raises the ShapeError naming the field."""
+        field of the wrong rank, 0-d included: that raises the ShapeError naming the field (a dim no
+        field of the right rank declares shows as None in it)."""
         named = self.named()
         if None in dims:
-            dims = [_Free(n) if d is None else d for n, d in zip(self.shapes.__code__.co_varnames, dims)]
+            free = [object() if d is None else d for d in dims]
             bound = {}
-            for (_name, v), shape in zip(named, self.shapes(*dims)):
+            for (_name, v), shape in zip(named, self.shapes(*free)):
                 if v.value.ndim == len(shape):
                     for d, n in zip(shape, v.shape):
-                        if isinstance(d, _Free):
-                            bound.setdefault(d, n)
-            dims = [bound.get(d, d) for d in dims]
+                        bound.setdefault(d, n)
+            dims = [bound.get(f) if d is None else d for d, f in zip(dims, free)]
         for (name, v), shape in zip(named, self.shapes(*dims), strict=True):
             if v.shape != shape:
                 kind = "bias" if len(shape) == 1 else "matrix"
@@ -257,16 +247,15 @@ def _steps(a: np.ndarray) -> np.ndarray:
 
 
 class _Recurrence:
-    """k directions, one (params, reverse, band) in ``dirs`` each, in one loop over
+    """k directions, one (checked fields, reverse, band) in ``dirs`` each, in one loop over
     inputs x [B, T, d] from states [B, n], n = k·h. The G gates of a cls cell
     stack gate-major and block-diagonal over the directions: W [k·d, G·n], Uᵀ
     [G·n, n], b tiled [G·n, B]. Steps are feature-major, [·, B]: a gate is rows."""
 
     def __init__(self, name: str, x: Variable, states: tuple[Variable, ...], dirs):
         (batch, steps, width), k = _steps(x.value).shape, len(dirs)
-        self.params = [dirs[0][0].checked(width, None)]  # the first direction's W [d, h]; every other is checked against it
-        hidden = self.params[0][0].shape[-1]
-        self.params += [p.checked(width, hidden) for p, _reverse, _band in dirs[1:]]
+        self.params = [vs for vs, _reverse, _band in dirs]
+        hidden = self.params[0][0].shape[-1]  # the first direction's W [d, h]; the kernel checked every direction against it
         self.x, self.states, self.dirs, gates, n = x, states, dirs, len(self.params[0]) // 3, k * hidden
         for s in states:
             if s.shape != (batch, n):
@@ -449,9 +438,10 @@ def _scan_reverse(inputs: Variable, direction: str, name: str) -> bool:
     return direction == "backward"
 
 
-def _hidden(p: GruParams | LstmParams, x: Variable) -> int:
-    """The state width of the cell ``p`` on inputs ``x`` of width d, read once ``p`` is checked."""
-    return p.checked(x.shape[-1], None)[0].shape[-1]
+def _cell(p: GruParams | LstmParams, x: Variable) -> tuple[list[Variable], int]:
+    """The cell ``p``'s fields, checked for inputs ``x`` of width d, and its state width, read off them."""
+    vs = p.checked(x.shape[-1], None)
+    return vs, vs[0].shape[-1]
 
 
 def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Variable:
@@ -461,38 +451,39 @@ def gru_scan(inputs: Variable, p: GruParams, direction: str = "forward") -> Vari
     their original positions, so position t holds the state computed from
     the suffix t..T.
     """
-    reverse, hidden = _scan_reverse(inputs, direction, "gru_scan"), _hidden(p, inputs)
+    reverse, (vs, hidden) = _scan_reverse(inputs, direction, "gru_scan"), _cell(p, inputs)
     out, h0 = np.empty(inputs.shape[:2] + (hidden,)), Variable(np.zeros((inputs.shape[0], hidden)))
-    return record("gru_scan", Variable(out), _gru_kernel(inputs, h0, [(p, reverse, slice(None))], out))
+    return record("gru_scan", Variable(out), _gru_kernel(inputs, h0, [(vs, reverse, slice(None))], out))
 
 
 def lstm_scan(inputs: Variable, p: LstmParams, direction: str = "forward") -> Variable:
     """LSTM hidden states [batch, T, h] from a zero state; directions as in ``gru_scan``."""
-    reverse, hidden = _scan_reverse(inputs, direction, "lstm_scan"), _hidden(p, inputs)
+    reverse, (vs, hidden) = _scan_reverse(inputs, direction, "lstm_scan"), _cell(p, inputs)
     out, zeros = np.empty(inputs.shape[:2] + (hidden,)), np.zeros((inputs.shape[0], hidden))
-    bw, _c = _lstm_kernel(inputs, Variable(zeros), Variable(zeros), [(p, reverse, slice(None))], out)
+    bw, _c = _lstm_kernel(inputs, Variable(zeros), Variable(zeros), [(vs, reverse, slice(None))], out)
     return record("lstm_scan", Variable(out), bw)
 
 
-def _one_step(x_t: Variable, p: GruParams | LstmParams, name: str) -> np.ndarray:
-    """Validate a cell step's input; the [batch, h] buffer for its new state."""
+def _one_step(x_t: Variable, p: GruParams | LstmParams, name: str):
+    """Validate a cell step's input; the cell's one direction, for ``dirs``, and the [batch, h] buffer for its new state."""
     if x_t.value.ndim != 2:
         raise ShapeError(f"{name} expects [batch, d], got {x_t.shape}")
-    return np.empty((x_t.shape[0], _hidden(p, x_t)))
+    vs, hidden = _cell(p, x_t)
+    return [(vs, False, slice(None))], np.empty((x_t.shape[0], hidden))
 
 
 def gru_cell_step(x_t: Variable, h_prev: Variable, p: GruParams) -> Variable:
     """One GRU step, [batch, d] -> [batch, h]: the scan kernel at T=1, as one tape node."""
-    out = _one_step(x_t, p, "gru_cell_step")
-    return record("gru_cell_step", Variable(out), _gru_kernel(x_t, h_prev, [(p, False, slice(None))], out))
+    dirs, out = _one_step(x_t, p, "gru_cell_step")
+    return record("gru_cell_step", Variable(out), _gru_kernel(x_t, h_prev, dirs, out))
 
 
 def lstm_cell_step(x_t: Variable, state_prev: tuple[Variable, Variable], p: LstmParams) -> tuple[Variable, Variable]:
     """One LSTM step, returning (h_t, c_t): the scan kernel at T=1 as one tape
     node, and c_t as a second, whose backward only makes sure the kernel's runs
     and reads c_t's gradient, so c gets gradient even when h_t was not used."""
-    out = _one_step(x_t, p, "lstm_cell_step")
-    bw, c_t = _lstm_kernel(x_t, *state_prev, [(p, False, slice(None))], out)
+    dirs, out = _one_step(x_t, p, "lstm_cell_step")
+    bw, c_t = _lstm_kernel(x_t, *state_prev, dirs, out)
     h_t = record("lstm_cell_step", Variable(out), bw)
     return h_t, record("lstm_cell_state", c_t, lambda _g: h_t.ensure_grad())
 
@@ -502,10 +493,10 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
     [batch, T, 2h+e]: the backward and forward GRU scans of the [batch, T, e]
     embeddings from zero states, run as one loop and one tape node.
     """
-    (batch, steps, embed), hidden = _sequence(x, "birnn_context"), _hidden(p_fwd, x)
+    (batch, steps, embed), (fwd, hidden) = _sequence(x, "birnn_context"), _cell(p_fwd, x)
     mid = slice(hidden, hidden + embed)
     out = np.empty((batch, steps, 2 * hidden + embed))
-    dirs = [(p_fwd, False, slice(hidden + embed, None)), (p_bwd, True, slice(None, hidden))]
+    dirs = [(fwd, False, slice(hidden + embed, None)), (p_bwd.checked(embed, hidden), True, slice(None, hidden))]
     bw = _gru_kernel(x, Variable(np.zeros((batch, 2 * hidden))), dirs, out)
     out[:, :, mid] = x.value
 

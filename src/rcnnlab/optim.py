@@ -51,6 +51,9 @@ def _blocks(p: Variable):
     ``p`` it updates: an index array into a compact gradient's rows, which
     gathers, or a slice of a dense one's, which gives views and gathers nothing."""
     g, rows = _rows(p)
+    if g.ndim == 0:  # a scalar's gradient is one block, its rows all of it
+        yield g, rows
+        return
     for lo in range(0, len(g), ROW_BLOCK):
         yield g[lo : lo + ROW_BLOCK], slice(lo, lo + ROW_BLOCK) if rows is ... else rows[lo : lo + ROW_BLOCK]
 
@@ -154,11 +157,9 @@ class Adadelta(_Optimizer):
     delta = -sqrt(ad + eps)/sqrt(ag + eps) * g
     ad <- rho*ad + (1-rho)*delta^2;  p <- p + lr*delta
 
-    As in :class:`RmsProp`, the rest runs only on the gradient's rows, in the
-    same row blocks, and ag's decay is one pass over the whole accumulator. ad
-    decays after delta reads it: a block decays its own rows, and one masked
-    pass at the end decays the rows no block touched. On a zero-gradient row
-    delta is -0.0, and rho*a + 0.0 and p + (-0.0) leave the bits as they are.
+    As in :class:`RmsProp`, the decays run over the whole accumulators and the
+    rest only on the gradient's rows. On a zero-gradient row delta is -0.0,
+    and rho*a + 0.0 and p + (-0.0) leave the bits as they are.
     """
 
     def __init__(self, params, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6):
@@ -169,17 +170,13 @@ class Adadelta(_Optimizer):
 
     def step(self) -> None:
         for p, ag, ad in zip(self.params, self.acc_grad, self.acc_delta):
+            g, rows = _rows(p)
             ag *= self.rho
-            untouched = np.ones((len(ad),) + (1,) * (ad.ndim - 1), dtype=bool)
-            for g, at in _blocks(p):
-                a_g, a_d, v = ag[at], ad[at], p.value[at]
-                a_g += (1.0 - self.rho) * g * g
-                delta = -np.sqrt(a_d + self.eps) / np.sqrt(a_g + self.eps) * g
-                a_d *= self.rho
-                a_d += (1.0 - self.rho) * delta * delta
-                v += self.lr * delta
-                ag[at], ad[at], p.value[at], untouched[at] = a_g, a_d, v, False
-            np.multiply(ad, self.rho, out=ad, where=untouched)
+            ag[rows] += (1.0 - self.rho) * g * g
+            delta = -np.sqrt(ad[rows] + self.eps) / np.sqrt(ag[rows] + self.eps) * g
+            ad *= self.rho
+            ad[rows] += (1.0 - self.rho) * delta * delta
+            p.value[rows] += self.lr * delta
 
 
 OPTIMIZERS = {"rmsprop": RmsProp, "adam": Adam, "adadelta": Adadelta}

@@ -406,30 +406,12 @@ def taped_dense_softmax(x, w, b):
     return softmax_rows(bias_add(matmul(x, w), b))
 
 
-def _whole_rows(p):
-    """A gradient's rows as one array, and the parameter rows they update: a compact one's row sums
-    and rows, or a dense one's every row (``...``)."""
-    return (p.row_sums, p.grad_rows) if p.row_sums is not None else (p.grad, ...)
-
-
 def whole_rmsprop_step(opt):
     """``opt``'s RMSprop step on whole arrays, one numpy pass over all of a gradient's
     rows at a time, as ``RmsProp.step`` ran before it worked in row blocks."""
     for p, cache in zip(opt.params, opt.cache):
-        g, rows = _whole_rows(p)
+        g, rows = (p.row_sums, p.grad_rows) if p.row_sums is not None else (p.grad, ...)
         cache *= opt.rho
         cache[rows] += (1.0 - opt.rho) * g * g
         p.value[rows] -= opt.lr * g / (np.sqrt(cache[rows]) + opt.eps)
 
-
-def whole_adadelta_step(opt):
-    """``opt``'s Adadelta step on whole arrays, as ``whole_rmsprop_step``: both decays
-    run over the whole accumulators, the update accumulator's after delta reads it."""
-    for p, ag, ad in zip(opt.params, opt.acc_grad, opt.acc_delta):
-        g, rows = _whole_rows(p)
-        ag *= opt.rho
-        ag[rows] += (1.0 - opt.rho) * g * g
-        delta = -np.sqrt(ad[rows] + opt.eps) / np.sqrt(ag[rows] + opt.eps) * g
-        ad *= opt.rho
-        ad[rows] += (1.0 - opt.rho) * delta * delta
-        p.value[rows] += opt.lr * delta

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import whole_adadelta_step, whole_rmsprop_step
+from oracles import whole_rmsprop_step
 
 from rcnnlab.autodiff import Tape, Variable, backward
 from rcnnlab.errors import ConfigError, DataError, ShapeError
@@ -239,37 +239,30 @@ class TestRowHint:
         assert not compact.value[11].any() and np.signbit(compact.value[11]).all()
 
 
-WHOLE_STEPS = {RmsProp: (whole_rmsprop_step, ("cache",)), Adadelta: (whole_adadelta_step, ("acc_grad", "acc_delta"))}
-
-
 class TestRowBlocks:
-    """The RMSprop and Adadelta steps work in blocks of ``ROW_BLOCK`` gradient
-    rows; being elementwise, they must equal the whole-array step byte for byte,
-    in the parameters and every accumulator, at any count of rows."""
+    """The RMSprop step works in blocks of ``ROW_BLOCK`` gradient rows; being
+    elementwise, it must equal the whole-array step byte for byte, in the
+    parameters and the cache, at any count of rows."""
 
     @staticmethod
-    def run(cls, value, gradients):
-        """Three steps of ``cls`` and of its whole-array reference from ``value``;
+    def run(value, gradients):
+        """Three blocked steps and three whole-array ones from ``value``;
         ``gradients(var, rng)`` sets each step's gradient on a parameter."""
-        whole_step, state = WHOLE_STEPS[cls]
         blocked, whole = Variable(value.copy()), Variable(value.copy())
-        opts = cls([blocked]), cls([whole])
+        opts = RmsProp([blocked]), RmsProp([whole])
         for seed in range(3):
             for var in (blocked, whole):
                 gradients(var, np.random.default_rng(seed))
             opts[0].step()
-            whole_step(opts[1])
+            whole_rmsprop_step(opts[1])
             np.testing.assert_array_equal(blocked.value.view(np.uint64), whole.value.view(np.uint64))
-            for name in state:
-                np.testing.assert_array_equal(getattr(opts[0], name)[0].view(np.uint64),
-                                              getattr(opts[1], name)[0].view(np.uint64))
+            np.testing.assert_array_equal(opts[0].cache[0].view(np.uint64), opts[1].cache[0].view(np.uint64))
             for opt in opts:
                 opt.zero_grads()
 
-    @pytest.mark.parametrize("cls", [RmsProp, Adadelta])
     @pytest.mark.parametrize("used", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
                                       2 * ROW_BLOCK - 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
-    def test_compact_blocks_equal_the_whole_step(self, cls, used):
+    def test_compact_blocks_equal_the_whole_step(self, used):
         """U rows of a [V, 50] table, V = 2·block + 7, the last case all V rows."""
         table = np.random.default_rng(97).normal(size=(2 * ROW_BLOCK + 7, 50))
 
@@ -279,16 +272,15 @@ class TestRowBlocks:
             sums[1::7] = 0.0
             var.add_row_sums(rows, sums)
 
-        self.run(cls, table, compact)
+        self.run(table, compact)
 
-    @pytest.mark.parametrize("cls", [RmsProp, Adadelta])
-    @pytest.mark.parametrize("shape", [(1, 50), (ROW_BLOCK + 1, 50), (2 * ROW_BLOCK + 7, 50), (ROW_BLOCK + 3,)])
-    def test_dense_blocks_equal_the_whole_step(self, cls, shape):
+    @pytest.mark.parametrize("shape", [(), (1, 50), (ROW_BLOCK + 1, 50), (2 * ROW_BLOCK + 7, 50), (ROW_BLOCK + 3,)])
+    def test_dense_blocks_equal_the_whole_step(self, shape):
         def dense(var, rng):
             var.grad = rng.normal(size=shape)
-            var.grad[1::5] = 0.0
+            var.grad.reshape(-1)[1::5] = 0.0
 
-        self.run(cls, np.random.default_rng(98).normal(size=shape), dense)
+        self.run(np.random.default_rng(98).normal(size=shape), dense)
 
 
 class TestClip:
