@@ -26,6 +26,10 @@ ROW_BLOCK = 512
 # OpenBLAS (0.3.31, SkylakeX) sends a GEMM of at most 1e6 multiply-adds to a small-matrix kernel that rounds unlike its
 # general one, so row blocks above that are byte-equal to the whole product: every d = 1-130, [d, d] and [d, d+3], 1 and 2 threads.
 GEMM_SMALL = 10**6
+# The pooled convolution's forward block: a multiple of 8 examples holding about CONV_BLOCK responses (4 MiB), but at least
+# CONV_COLUMNS windows and a GEMM above GEMM_SMALL. Such blocks gave the whole [F, B·L] product's bits (OpenBLAS 0.3.31, SkylakeX,
+# 1, 2 and 4 threads); blocks of 4 examples at odd L, or of under about 200-400 columns, moved its last B·L mod 8 columns.
+CONV_BLOCK, CONV_COLUMNS = 2**19, 1024
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +515,17 @@ def birnn_context(x: Variable, p_fwd: GruParams, p_bwd: GruParams) -> Variable:
 # Highway and convolution
 # ---------------------------------------------------------------------------
 
+def _spans(n: int, size: int) -> list[slice]:
+    """[0, n) in slices of ``size``, the last one taking the rest."""
+    starts = range(0, max(n // size, 1) * size, size)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
 def _row_blocks(row_macs: int, *arrays: np.ndarray | None):
     """[N, ·] arrays in blocks, as views; a None is fresh scratch shaped as the first array's block. A block has ``ROW_BLOCK``
     rows or the fewest multiple of 64 whose GEMM, at ``row_macs`` multiply-adds a row, exceeds ``GEMM_SMALL``; the last, the rest."""
-    n, rows = len(arrays[0]), max(ROW_BLOCK, (GEMM_SMALL // max(row_macs, 1) // 64 + 1) * 64)
-    starts = range(0, max(n // rows, 1) * rows, rows)
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        yield tuple(np.empty_like(arrays[0][lo:hi]) if a is None else a[lo:hi] for a in arrays)
+    for s in _spans(len(arrays[0]), max(ROW_BLOCK, (GEMM_SMALL // max(row_macs, 1) // 64 + 1) * 64)):
+        yield tuple(np.empty_like(arrays[0][s]) if a is None else a[s] for a in arrays)
 
 
 def _live_rows(g: np.ndarray, *factors: np.ndarray):
@@ -608,13 +616,25 @@ def dense_relu_positions(x: Variable, p: DenseParams) -> Variable:
     return record("dense_relu_positions", Variable(y.reshape(x.shape[:-1] + (width,))), bw)
 
 
-def _max_over_time(maps: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Each filter's maximum over the positions of [F, B, L] maps, as [B, F],
-    and the (batch [B], position [B, F]) index of its first argmax, which
-    routes the maximum's gradient. Both reduce the last, time axis."""
+def _max_over_time(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each filter's maximum over the positions of [F, B, L] maps, and the
+    position of its first argmax, which routes the maximum's gradient: both
+    [B, F] views. Both reduce the last, time axis."""
     at = maps.argmax(axis=2)
-    pooled = np.take_along_axis(maps, at[:, :, None], axis=2)[:, :, 0]
-    return np.ascontiguousarray(pooled.T), (np.arange(maps.shape[1]), at.T)
+    return np.take_along_axis(maps, at[:, :, None], axis=2)[:, :, 0].T, at.T
+
+
+def _example_blocks(batch: int, length: int, num_filters: int, row_width: int) -> list[slice]:
+    """The pooled convolution's blocks of whole examples, ``CONV_BLOCK``'s rule; the last takes the rest. One filter's
+    product is a matrix-vector one, which rounds by its cut into threads, so it runs whole."""
+    least = max(-(-CONV_COLUMNS // length), GEMM_SMALL // (length * num_filters * row_width) + 1)
+    examples = 8 * max(CONV_BLOCK // (8 * length * num_filters), -(-least // 8))
+    return _spans(batch, batch if num_filters == 1 else examples)
+
+
+def _windows(a: np.ndarray, h: int, writeable: bool = False) -> np.ndarray:
+    """[B, T, d] -> every [h, d] window, [B, L, h, d], as a view in any memory layout."""
+    return sliding_window_view(a, h, axis=1, writeable=writeable).transpose(0, 1, 3, 2)
 
 
 def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variable:
@@ -624,43 +644,52 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
     giving a feature map of length T - window + 1.
 
     One im2col kernel (Chellapilla, Puri & Simard, 2006) records one tape
-    node: each window is a row of h·d columns, and one matmul, filters on the
-    left, gives all responses filter-major, [F, B·L]; the map is the relu of
-    their transpose, written as one copy. The backward adds each of the h
-    window slots back onto the input as one strided slab.
+    node: the windows, a strided view of y, are copied as rows of h·d
+    columns, and one matmul, filters on the left, gives the responses
+    filter-major, [F, B·L]; the map is the relu of their transpose, written
+    as one copy. The backward adds each of the h window slots back onto the
+    input as one strided slab.
 
     With ``pool``, the node instead takes each filter's maximum over time and
     returns [B, F], bit-equal to ``maxpool_over_time`` of the map: the same
-    responses, and relu commutes with max. The first argmax of the biased
-    responses along their contiguous time axis picks each (batch, filter)'s
-    window, and the backward touches only those B·F windows: a filter's B
-    windows lie in different examples, so plain indexed adds credit the
-    filter and add onto the input's windows in place.
+    responses, and relu commutes with max. Its product runs on blocks of
+    whole examples (``_example_blocks``), each block's columns and responses
+    scratch, and gives the whole product's bits; only each (batch, filter)'s
+    maximum and the position of its first argmax are kept. The backward
+    touches only those B·F windows, gathered from the view of y, so no
+    im2col is kept: a filter's B windows lie in different examples, so plain
+    indexed adds credit the filter and add onto the input's windows in place.
     """
     h = p.window
     batch, steps, width = _sequence(y, "conv1d_forward", h)
     filters, bias = p.checked(h, width, None)
     length, num_filters = steps - h + 1, filters.shape[0]
-    # [B, L, d, h] windows -> [B·L, h·d] rows, each window flattened row-major.
-    cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)
-    responses = filters.value @ cols.T
-    responses += bias.value[:, None]
+    windows = _windows(y.value, h)
+
+    def block(examples: slice) -> tuple[np.ndarray, np.ndarray]:
+        cols = windows[examples].reshape(-1, h * width)  # [b·L, h·d] rows, each window flattened row-major
+        responses = filters.value @ cols.T
+        responses += bias.value[:, None]
+        return cols, responses
+
     if pool:
-        pooled, (rows, at) = _max_over_time(responses.reshape(num_filters, batch, length))
+        pooled, at = np.empty((batch, num_filters)), np.empty((batch, num_filters), dtype=np.intp)
+        for s in _example_blocks(batch, length, num_filters, h * width):
+            pooled[s], at[s] = _max_over_time(block(s)[1].reshape(num_filters, -1, length))
         np.maximum(pooled, 0.0, out=pooled)
 
         def bw_pooled(g: np.ndarray) -> None:
             da = g * (pooled > 0.0)  # subgradient of the relu at exactly 0 is 0
             bias.ensure_grad()[...] += da.sum(axis=0)
-            dw, dy, kernels = filters.ensure_grad(), y.ensure_grad(), filters.value.reshape(-1, h, width)
-            # dy's [h, d] window at each (batch, position): overlapping, written one filter at a time.
-            windows = as_strided(dy, (batch, length, h, width), dy.strides[:2] + dy.strides[1:])
-            rows_of = cols.reshape(batch, length, -1)
+            dw, kernels, rows = filters.ensure_grad(), filters.value.reshape(-1, h, width), np.arange(batch)
+            # dy's windows overlap, so they are written one filter at a time.
+            dy = _windows(y.ensure_grad(), h, writeable=True)
             for f in range(num_filters):
-                dw[f] += da[:, f] @ rows_of[rows, at[:, f]]
-                windows[rows, at[:, f]] += da[:, f, None, None] * kernels[f]
+                dw[f] += da[:, f] @ windows[rows, at[:, f]].reshape(batch, -1)
+                dy[rows, at[:, f]] += da[:, f, None, None] * kernels[f]
 
         return record("conv1d_forward", Variable(pooled), bw_pooled)
+    cols, responses = block(slice(None))
     fmap = np.maximum(responses.T, 0.0, out=np.empty((batch * length, num_filters)))
     out = Variable(fmap.reshape(batch, length, num_filters))
 
@@ -680,12 +709,12 @@ def conv1d_forward(y: Variable, p: ConvParams, *, pool: bool = False) -> Variabl
 def maxpool_over_time(feature_map: Variable) -> Variable:
     """Per-filter maximum over positions; gradient goes to the first argmax."""
     _sequence(feature_map, "maxpool_over_time")
-    pooled, (rows, at) = _max_over_time(feature_map.value.transpose(2, 0, 1))
+    pooled, at = _max_over_time(feature_map.value.transpose(2, 0, 1))
 
     def bw(g: np.ndarray) -> None:
-        feature_map.ensure_grad()[rows[:, None], at, np.arange(g.shape[1])] += g
+        feature_map.ensure_grad()[np.arange(g.shape[0])[:, None], at, np.arange(g.shape[1])] += g
 
-    return record("maxpool_over_time", Variable(pooled), bw)
+    return record("maxpool_over_time", Variable(np.ascontiguousarray(pooled)), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ the package records only kernels, ``layers.concat`` the one join.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from rcnnlab.autodiff import Variable, _stable_sigmoid, record
 from rcnnlab.errors import ContractError, ShapeError
@@ -337,6 +338,37 @@ def taped_conv(y, p):
 def taped_conv_pool(y, p):
     """``taped_conv`` max-pooled over time, gradient to the first argmax."""
     return max_over_axis(taped_conv(y, p), axis=1)[0]
+
+
+def whole_conv_pool(y, p):
+    """``layers.conv1d_forward(y, p, pool=True)`` as it ran before it worked in
+    blocks of examples: one im2col product over the whole batch, [F, B·L],
+    max-pooled; the backward gathers each filter's B chosen windows from the
+    kept [B·L, h·d] columns."""
+    h = p.window
+    batch, steps, width = y.shape
+    filters, bias = p.filters, p.bias
+    length, num_filters = steps - h + 1, filters.shape[0]
+    cols = sliding_window_view(y.value, h, axis=1).transpose(0, 1, 3, 2).reshape(batch * length, h * width)
+    responses = filters.value @ cols.T
+    responses += bias.value[:, None]
+    maps = responses.reshape(num_filters, batch, length)
+    at = maps.argmax(axis=2)
+    pooled = np.ascontiguousarray(np.take_along_axis(maps, at[:, :, None], axis=2)[:, :, 0].T)
+    rows, at = np.arange(batch), at.T
+    np.maximum(pooled, 0.0, out=pooled)
+
+    def bw(g):
+        da = g * (pooled > 0.0)
+        bias.ensure_grad()[...] += da.sum(axis=0)
+        dw, dy, kernels = filters.ensure_grad(), y.ensure_grad(), filters.value.reshape(-1, h, width)
+        windows = as_strided(dy, (batch, length, h, width), dy.strides[:2] + dy.strides[1:])
+        rows_of = cols.reshape(batch, length, -1)
+        for f in range(num_filters):
+            dw[f] += da[:, f] @ rows_of[rows, at[:, f]]
+            windows[rows, at[:, f]] += da[:, f, None, None] * kernels[f]
+
+    return record("whole_conv_pool", Variable(pooled), bw)
 
 
 def taped_highway(x_tilde, p):

@@ -15,7 +15,7 @@ from golden import same_blas
 from oracles import (
     add, conv_oracle, dense_highway_grads, mul, sigmoid, softmax_rows, sum_all, taped_birnn_context, taped_conv,
     taped_conv_pool, taped_dense_relu, taped_dense_softmax, taped_gru_scan, taped_highway, taped_lstm_scan,
-    taped_lstm_step, whole_credit, whole_dense_relu, whole_highway,
+    taped_lstm_step, whole_conv_pool, whole_credit, whole_dense_relu, whole_highway,
 )
 
 from rcnnlab import checks
@@ -910,6 +910,76 @@ class TestConvPool:
         with Tape() as tape:
             L.conv1d_forward(Variable(rng.uniform(-1, 1, (2, 9, 2))), p, pool=True)
         assert len(tape) == 1
+
+    @pytest.mark.parametrize("budget", [0, L.CONV_BLOCK])  # 0: every block the fewest examples the rule allows
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("width,filters", [(d, f) for d in (3, 16, 50) for f in (4, 32, 256)])
+    def test_blocks_equal_the_whole_product(self, width, filters, window, budget, monkeypatch):
+        """The forward runs in blocks of examples; output and gradients must
+        equal ``whole_conv_pool``'s, one product over the batch, byte for byte.
+        Over the batch sizes L takes every residue mod 8, so blocks of 4
+        examples, which start mid-way through an 8-column group at odd L,
+        round the last columns apart. Long L lets 8-example blocks pass the
+        column floor."""
+        monkeypatch.setattr(L, "CONV_BLOCK", budget)
+        rng = np.random.default_rng(width * filters + window)
+        p = L.ConvParams.create(rng, window, width, filters)
+        p.bias.value[...] = rng.uniform(-0.5, 0.5, filters)
+        for i, batch in enumerate([1, 7, 8, 9, 12, 16, 17, 33, 64]):
+            length = 296 + (i + window) % 8
+            y = rng.uniform(-2, 2, (batch, length + window - 1, width))
+            w = rng.normal(size=(batch, filters))
+            out, grads = self.fused(p, y, w)
+            ref, ref_grads = weighted_grads(lambda ys: whole_conv_pool(ys, p), p, [y], w)
+            np.testing.assert_array_equal(out, ref, err_msg=f"batch {batch}, L {length}")
+            for g, rg in zip(grads, ref_grads):
+                np.testing.assert_array_equal(g, rg, err_msg=f"batch {batch}, L {length}")
+
+    def test_block_rule_at_the_benchmark_shapes(self):
+        """cnn-paper's windows 3-5 over T = 200 run 8 examples a block; rcnn-hw-long's window-1 conv, L = 500 with
+        32 filters over width 32, runs a 32-example training batch as one block."""
+        assert [L._example_blocks(17, 196, 256, 250), L._example_blocks(64, 500, 32, 32)] == [
+            [slice(0, 8), slice(8, 17)], [slice(0, 32), slice(32, 64)]]
+        # One filter's product is a matrix-vector one: 6,000 examples would be blocks of 2,616 and 3,384, but run whole.
+        assert L._example_blocks(6000, 200, 1, 50) == [slice(0, 6000)]
+
+    @pytest.mark.parametrize("pool", [False, True])
+    @pytest.mark.parametrize("layout", ["every other step", "Fortran order"])
+    def test_any_input_layout_gives_the_contiguous_bits(self, layout, pool):
+        """Both forms read y through a strided view of its windows, so a
+        non-C-contiguous input gives the contiguous copy's output and
+        gradients, across a block boundary (17 examples: blocks of 8 and 9)."""
+        rng = np.random.default_rng(68)
+        p = L.ConvParams.create(rng, 3, 5, 256)
+        p.bias.value[...] = rng.uniform(-0.5, 0.5, 256)
+        base = rng.uniform(-2, 2, (17, 280, 5))
+        y = base[:, ::2] if layout == "every other step" else np.asfortranarray(base[:, :140])
+        assert not y.flags.c_contiguous
+        forward = lambda ys: L.conv1d_forward(ys, p, pool=pool)
+        w = rng.normal(size=forward(Variable(y)).shape)
+        out, grads = weighted_grads(forward, p, [y], w)
+        ref, ref_grads = weighted_grads(forward, p, [np.ascontiguousarray(y)], w)
+        np.testing.assert_array_equal(out, ref)
+        for g, rg in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, rg)
+
+    def test_tape_keeps_no_columns(self):
+        """A pooled node on the tape holds its B·F maxima and argmax positions
+        and reads its windows from y itself: what the forward leaves
+        allocated, output included, stays under one [B·L, h·d] column matrix."""
+        rng = np.random.default_rng(69)
+        p = L.ConvParams.create(rng, 3, 16, 8)
+        y = Variable(rng.uniform(-1, 1, (8, 66, 16)))
+        columns = 8 * 64 * 3 * 16 * y.value.itemsize
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                L.conv1d_forward(y, p, pool=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held < columns, f"{held} bytes held against a {columns}-byte column matrix"
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
